@@ -6,6 +6,8 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
 
+use gnn4tdl_tensor::json;
+
 /// One cell value. Serialized untagged: text as a JSON string, numbers bare.
 #[derive(Clone, Debug)]
 pub enum Cell {
@@ -47,43 +49,15 @@ impl Cell {
         }
     }
 
-    fn to_json(&self) -> String {
+    fn write_json(&self, out: &mut String) {
         match self {
-            Cell::Text(s) => json_string(s),
-            // JSON has no NaN/Infinity; null is the conventional stand-in.
-            Cell::Float(v) if !v.is_finite() => "null".to_string(),
-            Cell::Float(v) => {
-                let s = format!("{v}");
-                // keep floats recognizably float-typed on round-trip
-                if s.contains('.') || s.contains('e') {
-                    s
-                } else {
-                    format!("{s}.0")
-                }
+            Cell::Text(s) => json::write_str(out, s),
+            Cell::Float(v) => json::write_f64(out, *v),
+            Cell::Int(v) => {
+                let _ = write!(out, "{v}");
             }
-            Cell::Int(v) => v.to_string(),
         }
     }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// A named experiment table.
@@ -155,18 +129,27 @@ impl Report {
     /// has no registry access for serde).
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"id\": {},", json_string(&self.id));
-        let _ = writeln!(out, "  \"title\": {},", json_string(&self.title));
-        let cols: Vec<String> = self.columns.iter().map(|c| json_string(c)).collect();
-        let _ = writeln!(out, "  \"columns\": [{}],", cols.join(", "));
-        out.push_str("  \"rows\": [");
-        for (i, row) in self.rows.iter().enumerate() {
+        out.push_str("{\n  \"id\": ");
+        json::write_str(&mut out, &self.id);
+        out.push_str(",\n  \"title\": ");
+        json::write_str(&mut out, &self.title);
+        out.push_str(",\n  \"columns\": [");
+        for (i, c) in self.columns.iter().enumerate() {
             if i > 0 {
-                out.push(',');
+                out.push_str(", ");
             }
-            let cells: Vec<String> = row.iter().map(Cell::to_json).collect();
-            let _ = write!(out, "\n    [{}]", cells.join(", "));
+            json::write_str(&mut out, c);
+        }
+        out.push_str("],\n  \"rows\": [");
+        for (i, row) in self.rows.iter().enumerate() {
+            out.push_str(if i > 0 { ",\n    [" } else { "\n    [" });
+            for (j, cell) in row.iter().enumerate() {
+                if j > 0 {
+                    out.push_str(", ");
+                }
+                cell.write_json(&mut out);
+            }
+            out.push(']');
         }
         if self.rows.is_empty() {
             out.push_str("]\n}");

@@ -19,8 +19,8 @@
 //!
 //! # Determinism contract
 //!
-//! Level draws are splitmix64 hash streams keyed `(seed, node)` — the same
-//! generator discipline as `NeighborSampler` and `tensor::fault`, so a
+//! Level draws are [`gnn4tdl_tensor::splitmix64`] hash streams keyed
+//! `(seed, node)` — the generator `NeighborSampler` and `tensor::fault` use, so a
 //! rebuild with the same seed over the same rows reproduces the identical
 //! layer assignment with no mutable RNG state. Every comparison inside the
 //! search breaks similarity ties by ascending node id via `f32::total_cmp`,
@@ -30,7 +30,7 @@
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
-use gnn4tdl_tensor::{kernel, obs, parallel, pool, GnnError, Matrix};
+use gnn4tdl_tensor::{kernel, obs, parallel, pool, splitmix64, GnnError, Matrix};
 
 use crate::similarity::{row_sq_norms, Similarity};
 
@@ -293,15 +293,6 @@ impl NeighborIndex for ExactIndex<'_> {
 // ---------------------------------------------------------------------------
 // HNSW backend
 // ---------------------------------------------------------------------------
-
-/// SplitMix64 — the same finalizer `tensor::fault` and the
-/// `NeighborSampler` use for their replayable draw streams.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// Geometric level draw keyed `(seed, node)`: `floor(-ln(U) · 1/ln(m))`
 /// with `U` uniform in (0, 1) from the hash stream — the standard HNSW

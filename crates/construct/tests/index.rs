@@ -6,7 +6,9 @@
 use gnn4tdl_construct::{
     build_index, knn_distances, knn_distances_with, knn_edges, knn_edges_with, IndexKind, Similarity,
 };
-use gnn4tdl_tensor::{parallel, Matrix};
+use gnn4tdl_data::encode_all;
+use gnn4tdl_data::synth::{gaussian_clusters, ClustersConfig};
+use gnn4tdl_tensor::{parallel, pool, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -33,21 +35,64 @@ fn query_all_bits(x: &Matrix, kind: &IndexKind, k: usize) -> Vec<Vec<(usize, u32
     idx.query_all(k).into_iter().map(|row| row.into_iter().map(|(j, s)| (j, s.to_bits())).collect()).collect()
 }
 
+/// Fraction of the true k-nearest neighbors the approximate rows recovered.
+fn recall(exact: &[Vec<(usize, f32)>], approx: &[Vec<(usize, f32)>]) -> f64 {
+    let mut hits = 0usize;
+    let mut total = 0usize;
+    for (t, a) in exact.iter().zip(approx) {
+        let truth: std::collections::HashSet<usize> = t.iter().map(|&(j, _)| j).collect();
+        total += truth.len();
+        hits += a.iter().filter(|&&(j, _)| truth.contains(&j)).count();
+    }
+    hits as f64 / total as f64
+}
+
 #[test]
 fn hnsw_recall_at_10_meets_gate() {
     let k = 10;
     let x = blobs(2000, 16, 3, 7);
     let exact = build_index(&x, Similarity::Euclidean, &IndexKind::Exact).query_all(k);
     let approx = build_index(&x, Similarity::Euclidean, &hnsw(42)).query_all(k);
-    let mut hits = 0usize;
-    let mut total = 0usize;
-    for (t, a) in exact.iter().zip(&approx) {
-        let truth: std::collections::HashSet<usize> = t.iter().map(|&(j, _)| j).collect();
-        total += truth.len();
-        hits += a.iter().filter(|&&(j, _)| truth.contains(&j)).count();
-    }
-    let recall = hits as f64 / total as f64;
+    let recall = recall(&exact, &approx);
     assert!(recall >= 0.95, "recall@{k} = {recall:.4} below the 0.95 gate");
+}
+
+/// Timing gate (release only): kNN graph construction at n=50k — build an
+/// index, self-query every row — with the tuned HNSW (m=11, ef_construction
+/// 44, ef_search 30) must keep recall@10 ≥ 0.95 against the exact search
+/// and run at least 5x faster than it.
+#[test]
+#[ignore = "timing gate: cargo test --release -- --ignored gate_"]
+fn gate_hnsw_construction_recall_and_speedup_at_50k() {
+    let k = 10;
+    pool::enable();
+    let mut rng = StdRng::seed_from_u64(42);
+    let dataset = gaussian_clusters(
+        &ClustersConfig {
+            n: 50_000,
+            informative: 12,
+            noise_features: 4,
+            classes: 3,
+            cluster_std: 0.8,
+            center_scale: 3.0,
+        },
+        &mut rng,
+    );
+    let features = encode_all(&dataset.table).features;
+    let kind = IndexKind::Hnsw { m: 11, ef_construction: 44, ef_search: 30, seed: 42 };
+
+    let t = std::time::Instant::now();
+    let approx = build_index(&features, Similarity::Euclidean, &kind).query_all(k);
+    let hnsw_s = t.elapsed().as_secs_f64();
+    let t = std::time::Instant::now();
+    let exact = build_index(&features, Similarity::Euclidean, &IndexKind::Exact).query_all(k);
+    let exact_s = t.elapsed().as_secs_f64();
+
+    let recall = recall(&exact, &approx);
+    let speedup = exact_s / hnsw_s;
+    eprintln!("n=50000: recall@{k} {recall:.4}, hnsw {hnsw_s:.2}s vs exact {exact_s:.2}s ({speedup:.2}x)");
+    assert!(recall >= 0.95, "recall@{k} {recall:.4} is below the required 0.95");
+    assert!(speedup >= 5.0, "hnsw speedup {speedup:.2}x is below the required 5x");
 }
 
 #[test]

@@ -440,44 +440,18 @@ impl ServableModel {
     }
 
     /// Local-subgraph prediction for one request row given its corpus
-    /// neighbor ids — the serving hot path. See the module docs for why the
-    /// `(layers + 1)`-hop ball makes this exact.
+    /// neighbor ids — the serving hot path, as a batch of one. See the
+    /// module docs for why the `(layers + 1)`-hop ball makes this exact.
     pub fn predict_local(&self, row: &[f32], neighbors: &[usize]) -> Result<LocalPrediction, GnnError> {
-        let _span = gnn4tdl_tensor::span!("servable.predict_local");
-        self.check_request(row, neighbors)?;
-        let ball = self.ball(neighbors);
-        let bn = ball.len();
-        let mut local = HashMap::with_capacity(bn);
-        for (li, &g) in ball.iter().enumerate() {
-            local.insert(g, li);
-        }
-        let mut triples: Vec<(usize, usize, f32)> = Vec::new();
-        for (li, &g) in ball.iter().enumerate() {
-            for (v, w) in self.graph.neighbors(g) {
-                if let Some(&lv) = local.get(&v) {
-                    triples.push((li, lv, w));
-                }
-            }
-        }
-        for &j in neighbors {
-            let lj = local[&j];
-            triples.push((bn, lj, 1.0));
-            triples.push((lj, bn, 1.0));
-        }
-        let lg = Graph::from_weighted_edges(bn + 1, &triples, false);
-        let mut data = self.features.gather_rows(&ball).data().to_vec();
-        data.extend_from_slice(row);
-        let xs = Matrix::from_vec(bn + 1, self.config.in_dim, data);
-        let logits_m = self.forward(&lg, xs);
-        obs::counter_add("servable.local_nodes", (bn + 1) as u64);
-        Ok(self.center_prediction(&logits_m, bn))
+        let mut predictions = self.predict_local_batch(&[row.to_vec()], &[neighbors.to_vec()])?;
+        Ok(predictions.remove(0))
     }
 
-    /// [`Self::predict_local`] for a whole batch in **one** forward pass:
-    /// the per-row local subgraphs are composed block-diagonally (each
-    /// block is one row's ball plus its center, with no cross-block edges,
-    /// mirroring "batch rows never edge to each other") and the stacked
-    /// features go through a single bound encoder.
+    /// Local-subgraph predictions for a whole batch in **one** forward
+    /// pass: the per-row local subgraphs are composed block-diagonally
+    /// (each block is one row's ball plus its center, with no cross-block
+    /// edges, mirroring "batch rows never edge to each other") and the
+    /// stacked features go through a single bound encoder.
     ///
     /// Bitwise-identical to mapping `predict_local` row by row: every
     /// kernel output element is one ascending-k accumulator chain over
@@ -493,9 +467,6 @@ impl ServableModel {
         neighbors: &[Vec<usize>],
     ) -> Result<Vec<LocalPrediction>, GnnError> {
         debug_assert_eq!(rows.len(), neighbors.len());
-        if rows.len() <= 1 {
-            return rows.iter().zip(neighbors).map(|(r, n)| self.predict_local(r, n)).collect();
-        }
         let _span = gnn4tdl_tensor::span!("servable.predict_local_batch");
         for (row, nbrs) in rows.iter().zip(neighbors) {
             self.check_request(row, nbrs)?;
@@ -511,6 +482,7 @@ impl ServableModel {
             let ball = self.ball(nbrs);
             let bn = ball.len();
             local.clear();
+            local.reserve(bn);
             for (li, &g) in ball.iter().enumerate() {
                 local.insert(g, offset + li);
             }

@@ -71,4 +71,45 @@ fn steady_state_training_hit_rate_exceeds_90_percent() {
         stats.hit_rate()
     );
     pool::clear_local();
+
+    // The hot-loop case: an n=1000 GCN on a k=10 kNN graph, measured over
+    // 60 epochs after a 3-epoch warm-up. It gates the all-thread rate, so a
+    // regression that only pushes the persistent `parallel` workers onto
+    // the allocator still fails.
+    let mut rng = StdRng::seed_from_u64(42);
+    let dataset = gaussian_clusters(
+        &ClustersConfig {
+            n: 1000,
+            informative: 12,
+            noise_features: 4,
+            classes: 3,
+            cluster_std: 1.0,
+            center_scale: 3.0,
+        },
+        &mut rng,
+    );
+    let split = Split::stratified(dataset.target.labels(), 0.5, 0.2, &mut rng);
+    let cfg = |epochs: usize| {
+        PipelineConfig::builder(GraphSpec::Rule {
+            similarity: Similarity::Euclidean,
+            rule: EdgeRule::Knn { k: 10 },
+        })
+        .hidden(32)
+        .train(TrainConfig { epochs, patience: 0, ..Default::default() })
+        .seed(7)
+        .build()
+    };
+    fit_pipeline(&dataset, &split, &cfg(3));
+    pool::reset_local_stats();
+    pool::reset_global_stats();
+    fit_pipeline(&dataset, &split, &cfg(60));
+    let global = pool::global_stats();
+    assert!(
+        global.hit_rate() >= 0.90,
+        "steady-state all-thread pool hit rate {:.4} below 0.90 over the hot-loop fit \
+         (global {global:?}, local {:?})",
+        global.hit_rate(),
+        pool::local_stats()
+    );
+    pool::clear_local();
 }

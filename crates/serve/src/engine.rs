@@ -38,9 +38,9 @@
 //! store. A snapshot that fails checksum/validation never swaps — the old
 //! generation keeps serving.
 //!
-//! Either way the prediction itself is `predict_local`: a
-//! `(layers + 1)`-hop ball around the attachment neighbors, so per-request
-//! cost is O(neighborhood), not O(corpus).
+//! Either way the prediction itself is `predict_local_batch`: a
+//! `(layers + 1)`-hop ball around each row's attachment neighbors, so
+//! per-request cost is O(neighborhood), not O(corpus).
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -286,50 +286,69 @@ impl Engine {
         Ok(())
     }
 
-    /// Corpus neighbor ids for a request row. Exact path: read-only query.
-    /// Hnsw path: insert-then-query with the just-inserted id excluded and
-    /// earlier inserted rows filtered out (they are requests, not corpus).
-    /// Durable engines append the row to the WAL (fsync'd) *before* the
-    /// insert, so an acked row is always recoverable.
+    /// Corpus neighbor ids for one request row: the row check and the
+    /// attachment `predict_batch` runs, for a batch of one (durable engines
+    /// append the row to the WAL first).
     pub fn neighbors(&self, row: &[f32]) -> Result<Vec<usize>, GnnError> {
         self.check_row(row)?;
-        match &self.hnsw {
-            None => Ok(self.model.exact_neighbors(row).into_iter().map(|(i, _)| i).collect()),
-            Some(hnsw) => match &self.durability {
-                None => {
-                    let mut state = lock(hnsw);
-                    if state.index.len() - self.corpus_len >= self.request_cap {
-                        // Ephemeral memory bound: shed the accumulated
-                        // request rows by rebuilding from the frozen corpus
-                        // snapshot. Seeded level draws make the rebuilt
-                        // index identical to the engine's starting one.
-                        obs::counter_add("serve.index_rebuilds", 1);
-                        state.index = Self::build_hnsw(&self.model).expect("hnsw engine has an Hnsw config");
-                    }
-                    self.attach_locked(&mut state, row, false)
+        Ok(self.attach(&[row.to_vec()])?.remove(0))
+    }
+
+    /// Corpus neighbor ids for already-checked request rows. Exact path:
+    /// one read-only batch query. Hnsw path: insert-then-query per row with
+    /// the just-inserted id excluded and earlier inserted rows filtered out
+    /// (they are requests, not corpus). Durable engines first append the
+    /// whole batch to the WAL — one write, one fsync, all or nothing — so an
+    /// acked row is always recoverable and a failed batch leaves no row
+    /// behind. Every row is attached even when one comes back without
+    /// neighbors, because replay re-inserts every WAL row.
+    fn attach(&self, rows: &[Vec<f32>]) -> Result<Vec<Vec<usize>>, GnnError> {
+        let Some(hnsw) = &self.hnsw else {
+            return Ok(self
+                .model
+                .exact_neighbors_batch(rows)
+                .into_iter()
+                .map(|hits| hits.into_iter().map(|(i, _)| i).collect())
+                .collect());
+        };
+        // Lock order wal → hnsw: holding the WAL across the inserts means
+        // compaction (which also takes the WAL first) can never observe a
+        // row that is durable but not yet in the index, or vice versa.
+        let _wal = match &self.durability {
+            None => None,
+            Some(durability) => {
+                let mut wal = lock(&durability.wal);
+                if wal.generation() != self.generation() {
+                    // A compaction/reload swapped the slot after this
+                    // request fetched its engine; its WAL stamp now belongs
+                    // to a newer snapshot. Typed + retryable — the retry
+                    // lands on the new engine.
+                    return Err(GnnError::Io {
+                        detail: "engine generation superseded mid-request; retry".into(),
+                    });
                 }
-                Some(durability) => {
-                    // Lock order wal → hnsw: holding the WAL across the
-                    // insert means compaction (which also takes the WAL
-                    // first) can never observe a row that is durable but
-                    // not yet in the index, or vice versa.
-                    let mut wal = lock(&durability.wal);
-                    if wal.generation() != self.generation() {
-                        // A compaction/reload swapped the slot after this
-                        // request fetched its engine; its WAL stamp now
-                        // belongs to a newer snapshot. Typed + retryable —
-                        // the retry lands on the new engine.
-                        return Err(GnnError::Io {
-                            detail: "engine generation superseded mid-request; retry".into(),
-                        });
-                    }
-                    wal.append(row)?;
-                    durability.wal_records.store(wal.records(), Ordering::Relaxed);
-                    let mut state = lock(hnsw);
-                    self.attach_locked(&mut state, row, true)
+                wal.append_all(rows)?;
+                durability.wal_records.store(wal.records(), Ordering::Relaxed);
+                Some(wal)
+            }
+        };
+        let record = self.durability.is_some();
+        let mut state = lock(hnsw);
+        let sets: Vec<Result<Vec<usize>, GnnError>> = rows
+            .iter()
+            .map(|row| {
+                if !record && state.index.len() - self.corpus_len >= self.request_cap {
+                    // Ephemeral memory bound: shed the accumulated request
+                    // rows by rebuilding from the frozen corpus snapshot.
+                    // Seeded level draws make the rebuilt index identical
+                    // to the engine's starting one.
+                    obs::counter_add("serve.index_rebuilds", 1);
+                    state.index = Self::build_hnsw(&self.model).expect("hnsw engine has an Hnsw config");
                 }
-            },
-        }
+                self.attach_locked(&mut state, row, record)
+            })
+            .collect();
+        sets.into_iter().collect()
     }
 
     /// Insert-then-query against the locked Hnsw state; `record` keeps the
@@ -377,54 +396,28 @@ impl Engine {
         hits.into_iter().map(|(i, _)| i).filter(|&i| i < corpus_len).take(k).collect()
     }
 
-    /// One request row → local-subgraph prediction. The per-request fault
-    /// site lets the chaos suite fail individual requests without touching
-    /// the model; the server maps the error to a typed 503.
+    /// One request row → local-subgraph prediction: [`Self::predict_batch`]
+    /// of one row.
     pub fn predict(&self, row: &[f32]) -> Result<LocalPrediction, GnnError> {
-        fault::io_failpoint("serve.request")
-            .map_err(|e| GnnError::Io { detail: format!("injected request fault: {e}") })?;
-        let neighbors = self.neighbors(row)?;
-        let prediction = self.model.predict_local(row, &neighbors)?;
-        self.served.fetch_add(1, Ordering::Relaxed);
-        obs::counter_add("serve.predictions", 1);
-        Ok(prediction)
+        Ok(self.predict_batch(&[row.to_vec()])?.remove(0))
     }
 
     /// Batch request: rows are independent (each attaches to the corpus on
-    /// its own; batch rows never edge to each other). Neighbor attachment
-    /// stays sequential — insert order is part of the Hnsw determinism
-    /// contract — but the forward passes are fused into one block-diagonal
+    /// its own; batch rows never edge to each other). Every row passes the
+    /// per-request fault site (the chaos suite fails requests there; the
+    /// server maps the error to a typed 503) and the row check before any
+    /// engine state changes. Neighbor attachment then stays sequential —
+    /// insert order is part of the Hnsw determinism contract — and the
+    /// forward passes are fused into one block-diagonal
     /// `predict_local_batch` call, which is bitwise-identical to the
     /// row-by-row passes while letting the batched kernels tile the work.
     pub fn predict_batch(&self, rows: &[Vec<f32>]) -> Result<Vec<LocalPrediction>, GnnError> {
-        if rows.len() <= 1 {
-            return rows.iter().map(|r| self.predict(r)).collect();
+        for row in rows {
+            fault::io_failpoint("serve.request")
+                .map_err(|e| GnnError::Io { detail: format!("injected request fault: {e}") })?;
+            self.check_row(row)?;
         }
-        let mut neighbor_sets = Vec::with_capacity(rows.len());
-        match &self.hnsw {
-            None => {
-                for row in rows {
-                    fault::io_failpoint("serve.request")
-                        .map_err(|e| GnnError::Io { detail: format!("injected request fault: {e}") })?;
-                    self.check_row(row)?;
-                }
-                // One ExactIndex for the whole batch: corpus norms are
-                // computed once instead of once per row.
-                neighbor_sets.extend(
-                    self.model
-                        .exact_neighbors_batch(rows)
-                        .into_iter()
-                        .map(|hits| hits.into_iter().map(|(i, _)| i).collect::<Vec<_>>()),
-                );
-            }
-            Some(_) => {
-                for row in rows {
-                    fault::io_failpoint("serve.request")
-                        .map_err(|e| GnnError::Io { detail: format!("injected request fault: {e}") })?;
-                    neighbor_sets.push(self.neighbors(row)?);
-                }
-            }
-        }
+        let neighbor_sets = self.attach(rows)?;
         let predictions = self.model.predict_local_batch(rows, &neighbor_sets)?;
         self.served.fetch_add(rows.len() as u64, Ordering::Relaxed);
         obs::counter_add("serve.predictions", rows.len() as u64);

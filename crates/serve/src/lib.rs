@@ -13,11 +13,11 @@
 //!    lifetime. [`http::parse_request`] frames each request (typed 4xx on
 //!    protocol violations; `consumed` offsets make pipelining exact).
 //! 3. `POST /predict` / `POST /predict_proba` bodies are parsed by the
-//!    in-crate JSON parser, then each feature row goes through
-//!    [`engine::Engine::predict`]: neighbor lookup (exact, or HNSW
-//!    insert-then-query under `IndexKind::Hnsw`) followed by a
-//!    local-subgraph forward pass — O(neighborhood) per request, never
-//!    O(corpus).
+//!    workspace JSON parser ([`json`], from `gnn4tdl-tensor`), then the
+//!    request's rows go through [`engine::Engine::predict_batch`]: neighbor
+//!    lookup (exact, or HNSW insert-then-query under `IndexKind::Hnsw`)
+//!    followed by a local-subgraph forward pass — O(neighborhood) per
+//!    request, never O(corpus).
 //! 4. `GET /healthz` reports model shape and served count; `GET /metrics`
 //!    dumps the obs `RunReport` (per-request spans, latency histogram,
 //!    request/error counters).
@@ -52,13 +52,12 @@
 
 pub mod engine;
 pub mod http;
-pub mod json;
 pub mod server;
 pub mod wal;
 
 pub use engine::{Engine, EngineSlot, RecoveryStats};
+pub use gnn4tdl_tensor::json::{self, Json};
 pub use http::{HttpError, Limits, ParseOutcome, Request, Response};
-pub use json::Json;
 pub use server::{serve, Server, ServerConfig};
 pub use wal::{StateDir, Wal};
 

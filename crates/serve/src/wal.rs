@@ -186,29 +186,40 @@ impl Wal {
         Ok(())
     }
 
-    /// Appends one accepted row and fsyncs. The `wal.append` failpoint
-    /// fires *before* any byte is written (a typed, non-wedging 503: the
-    /// row is neither durable nor in the index); a real write error rolls
-    /// the file back to the last good record before surfacing.
+    /// Appends one accepted row and fsyncs: [`Self::append_all`] of one row.
     pub fn append(&mut self, row: &[f32]) -> Result<(), GnnError> {
-        debug_assert_eq!(row.len(), self.in_dim);
+        self.append_all(&[row])
+    }
+
+    /// Appends a batch of accepted rows with one write and one fsync: all
+    /// or nothing. The `wal.append` failpoint fires once, *before* any byte
+    /// is written (a typed, non-wedging 503: no row is durable or in the
+    /// index); a real write error truncates the file back to its pre-batch
+    /// length before surfacing.
+    pub fn append_all(&mut self, rows: &[impl AsRef<[f32]>]) -> Result<(), GnnError> {
         fault::io_failpoint("wal.append").map_err(|e| io_err(format!("wal append: {e}")))?;
-        let mut record = Vec::with_capacity(RECORD_OVERHEAD + row.len() * 4);
-        record.extend_from_slice(&((row.len() * 4) as u32).to_le_bytes());
-        for &x in row {
-            record.extend_from_slice(&x.to_le_bytes());
+        let mut bytes = Vec::with_capacity(rows.len() * (RECORD_OVERHEAD + self.in_dim * 4));
+        for row in rows {
+            let row = row.as_ref();
+            debug_assert_eq!(row.len(), self.in_dim);
+            let start = bytes.len();
+            bytes.extend_from_slice(&((row.len() * 4) as u32).to_le_bytes());
+            for &x in row {
+                bytes.extend_from_slice(&x.to_le_bytes());
+            }
+            let checksum = fnv1a64(&bytes[start..]);
+            bytes.extend_from_slice(&checksum.to_le_bytes());
         }
-        record.extend_from_slice(&fnv1a64(&record).to_le_bytes());
-        let wrote = self.file.write_all(&record).and_then(|()| self.file.sync_data());
+        let wrote = self.file.write_all(&bytes).and_then(|()| self.file.sync_data());
         if let Err(e) = wrote {
             // Leave no torn tail behind for the *next* append to build on.
             let _ = self.file.set_len(self.len);
             let _ = self.file.seek(SeekFrom::Start(self.len));
             return Err(io_err(format!("wal append {}: {e}", self.path.display())));
         }
-        self.len += record.len() as u64;
-        self.records += 1;
-        obs::counter_add("wal.appends", 1);
+        self.len += bytes.len() as u64;
+        self.records += rows.len() as u64;
+        obs::counter_add("wal.appends", rows.len() as u64);
         Ok(())
     }
 
@@ -340,6 +351,10 @@ impl StateDir {
 
 #[cfg(test)]
 mod tests {
+    //! Every test that reaches an io failpoint takes `fault::TEST_MUTEX`:
+    //! the fault plan is process-global, so a concurrent test arming
+    //! io-fail would otherwise fail its writes.
+
     use super::*;
 
     fn tmp(name: &str) -> PathBuf {
@@ -355,6 +370,7 @@ mod tests {
 
     #[test]
     fn append_then_recover_round_trips() {
+        let _guard = fault::TEST_MUTEX.lock().unwrap_or_else(|p| p.into_inner());
         let dir = tmp("roundtrip");
         let path = dir.join("wal.log");
         let mut wal = Wal::create(&path, 3, 4).unwrap();
@@ -374,6 +390,7 @@ mod tests {
 
     #[test]
     fn torn_tail_is_truncated_and_counted() {
+        let _guard = fault::TEST_MUTEX.lock().unwrap_or_else(|p| p.into_inner());
         let dir = tmp("torn");
         let path = dir.join("wal.log");
         let mut wal = Wal::create(&path, 0, 3).unwrap();
@@ -399,6 +416,7 @@ mod tests {
 
     #[test]
     fn flipped_byte_mid_log_truncates_at_the_flip() {
+        let _guard = fault::TEST_MUTEX.lock().unwrap_or_else(|p| p.into_inner());
         let dir = tmp("flip");
         let path = dir.join("wal.log");
         let mut wal = Wal::create(&path, 0, 3).unwrap();
@@ -420,6 +438,7 @@ mod tests {
 
     #[test]
     fn stale_generation_is_discarded_not_replayed() {
+        let _guard = fault::TEST_MUTEX.lock().unwrap_or_else(|p| p.into_inner());
         let dir = tmp("stale");
         let path = dir.join("wal.log");
         let mut wal = Wal::create(&path, 0, 3).unwrap();

@@ -341,3 +341,40 @@ fn injected_wal_faults_are_typed_503s_and_replay_matches_what_was_acked() {
     restarted.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn durable_batches_are_all_or_nothing_under_io_faults() {
+    let _l = fault::TEST_MUTEX.lock().unwrap_or_else(|p| p.into_inner());
+    let dir = state_dir("batch-atomic");
+    let state = StateDir::new(&dir).unwrap();
+    state.install(&fitted(hnsw_kind())).unwrap();
+    let (engine, _) = Engine::durable(state, 4096).unwrap();
+    let in_dim = engine.in_dim();
+    let batch = |b: usize| -> Vec<Vec<f32>> {
+        (0..4).map(|r| (0..in_dim).map(|i| ((i + 4 * b + r) as f32 * 0.37).sin()).collect()).collect()
+    };
+
+    // A fault anywhere in a batch (per-row request site or the WAL append)
+    // must leave none of its rows behind: acked rows are exactly the rows
+    // of batches that returned Ok.
+    let mut acked = 0usize;
+    {
+        let _g = fault::arm_guard(FaultKind::IoFail, 23, 0.4);
+        for b in 0..10 {
+            if engine.predict_batch(&batch(b)).is_ok() {
+                acked += 4;
+            }
+        }
+    }
+    assert!(acked < 40, "a 40% fault rate over ten batches fired at least once");
+    engine.predict_batch(&batch(10)).unwrap();
+    acked += 4;
+    assert_eq!(engine.wal_records(), acked as u64, "the WAL must hold exactly the acked rows");
+    drop(engine);
+
+    let (restarted, stats) = Engine::durable(StateDir::new(&dir).unwrap(), 4096).unwrap();
+    assert_eq!(stats.replayed, acked, "replay must reproduce exactly the acked rows");
+    assert_eq!(restarted.retained_requests(), acked);
+    drop(restarted);
+    let _ = std::fs::remove_dir_all(&dir);
+}

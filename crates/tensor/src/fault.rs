@@ -23,6 +23,8 @@
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Mutex;
 
+use crate::splitmix64;
+
 /// The failure classes the harness can inject.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultKind {
@@ -179,13 +181,6 @@ impl Drop for FaultGuard {
 pub fn arm_guard(kind: FaultKind, seed: u64, rate: f64) -> FaultGuard {
     arm(kind, seed, rate);
     FaultGuard(())
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// Should the armed fault fire at this site? Only draws against the armed

@@ -1,8 +1,8 @@
 //! Minimal hand-rolled JSON — the same dependency-free discipline as the
-//! `shims/` crates. Covers exactly what the serving protocol needs: a
-//! recursive-descent parser into a small value tree (depth- and
-//! size-limited, never panicking on malformed input) and a writer for the
-//! response bodies.
+//! `shims/` crates. Covers what its users need: a recursive-descent parser
+//! into a small value tree (depth- and size-limited, never panicking on
+//! malformed input) for the serving protocol, and the writers shared by
+//! response bodies, obs reports and experiment tables.
 
 use std::fmt::Write as _;
 
@@ -250,6 +250,20 @@ pub fn write_str(out: &mut String, s: &str) {
         }
     }
     out.push('"');
+}
+
+/// An f64 that stays recognizably float-typed on round trip (`2.0`, never
+/// `2`); JSON has no NaN or infinity, so non-finite values become `null`.
+pub fn write_f64(out: &mut String, v: f64) {
+    if !v.is_finite() {
+        out.push_str("null");
+        return;
+    }
+    let start = out.len();
+    let _ = write!(out, "{v}");
+    if !out[start..].contains(['.', 'e']) {
+        out.push_str(".0");
+    }
 }
 
 /// `[a, b, c]` of f32 values (shortest round-trip formatting — `{}` on f32

@@ -34,10 +34,13 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
+
+use crate::json;
 
 // ---------------------------------------------------------------------------
 // Enable switch
@@ -429,105 +432,53 @@ impl RunReport {
     /// records in insertion order.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(4096);
-        out.push_str("{\n");
-        out.push_str(&format!("  \"schema\": {},\n", json_string("gnn4tdl.obs/v1")));
-        out.push_str(&format!("  \"run_id\": {},\n", json_string(&self.run_id)));
-
-        out.push_str("  \"spans\": [\n");
-        let span_lines: Vec<String> = self
-            .spans
-            .iter()
-            .map(|(path, stat)| {
-                format!(
-                    "    {{ \"path\": {}, \"calls\": {}, \"total_ms\": {} }}",
-                    json_string(path),
-                    stat.calls,
-                    json_f64(stat.total_ns as f64 / 1.0e6)
-                )
-            })
-            .collect();
-        out.push_str(&span_lines.join(",\n"));
-        out.push_str("\n  ],\n");
-
-        out.push_str("  \"counters\": [\n");
-        let counter_lines: Vec<String> = self
-            .counters
-            .iter()
-            .map(|(name, value)| format!("    {{ \"name\": {}, \"value\": {value} }}", json_string(name)))
-            .collect();
-        out.push_str(&counter_lines.join(",\n"));
-        out.push_str("\n  ],\n");
-
-        out.push_str("  \"gauges\": [\n");
-        let gauge_lines: Vec<String> = self
-            .gauges
-            .iter()
-            .map(|(name, value)| {
-                format!("    {{ \"name\": {}, \"value\": {} }}", json_string(name), json_f64(*value))
-            })
-            .collect();
-        out.push_str(&gauge_lines.join(",\n"));
-        out.push_str("\n  ],\n");
-
-        out.push_str("  \"histograms\": [\n");
-        let hist_lines: Vec<String> = self
-            .histograms
-            .iter()
-            .map(|(name, stat)| {
-                format!(
-                    "    {{ \"name\": {}, \"count\": {}, \"min\": {}, \"max\": {}, \"sum\": {} }}",
-                    json_string(name),
-                    stat.count,
-                    json_f64(stat.min),
-                    json_f64(stat.max),
-                    json_f64(stat.sum)
-                )
-            })
-            .collect();
-        out.push_str(&hist_lines.join(",\n"));
-        out.push_str("\n  ],\n");
-
-        out.push_str("  \"phases\": [\n");
-        let phase_lines: Vec<String> = self
-            .phases
-            .iter()
-            .map(|phase| {
-                let items: Vec<String> = phase
-                    .items
-                    .iter()
-                    .map(|(k, v)| format!("{}: {}", json_string(k), json_f64(*v)))
-                    .collect();
-                format!(
-                    "    {{ \"label\": {}, \"duration_ms\": {}, \"items\": {{ {} }} }}",
-                    json_string(&phase.label),
-                    json_f64(phase.duration_ms),
-                    items.join(", ")
-                )
-            })
-            .collect();
-        out.push_str(&phase_lines.join(",\n"));
-        out.push_str("\n  ],\n");
-
-        out.push_str("  \"epochs\": [\n");
-        let epoch_lines: Vec<String> = self
-            .epochs
-            .iter()
-            .map(|e| {
-                format!(
-                    "    {{ \"phase\": {}, \"epoch\": {}, \"train_loss\": {}, \"aux_loss\": {}, \
-                     \"val_loss\": {}, \"improved\": {}, \"bad_epochs\": {} }}",
-                    json_string(&e.phase),
-                    e.epoch,
-                    json_f64(f64::from(e.train_loss)),
-                    json_f64(f64::from(e.aux_loss)),
-                    json_f64(f64::from(e.val_loss)),
-                    e.improved,
-                    e.bad_epochs
-                )
-            })
-            .collect();
-        out.push_str(&epoch_lines.join(",\n"));
-        out.push_str("\n  ]\n}\n");
+        out.push_str("{\n  \"schema\": ");
+        json::write_str(&mut out, "gnn4tdl.obs/v1");
+        out.push_str(",\n  \"run_id\": ");
+        json::write_str(&mut out, &self.run_id);
+        write_section(&mut out, "spans", &self.spans, |out, (path, stat)| {
+            str_field(out, "path", path);
+            let _ = write!(out, ", \"calls\": {}", stat.calls);
+            f64_field(out, "total_ms", stat.total_ns as f64 / 1.0e6);
+        });
+        write_section(&mut out, "counters", &self.counters, |out, (name, value)| {
+            str_field(out, "name", name);
+            let _ = write!(out, ", \"value\": {value}");
+        });
+        write_section(&mut out, "gauges", &self.gauges, |out, (name, value)| {
+            str_field(out, "name", name);
+            f64_field(out, "value", *value);
+        });
+        write_section(&mut out, "histograms", &self.histograms, |out, (name, stat)| {
+            str_field(out, "name", name);
+            let _ = write!(out, ", \"count\": {}", stat.count);
+            f64_field(out, "min", stat.min);
+            f64_field(out, "max", stat.max);
+            f64_field(out, "sum", stat.sum);
+        });
+        write_section(&mut out, "phases", &self.phases, |out, phase| {
+            str_field(out, "label", &phase.label);
+            f64_field(out, "duration_ms", phase.duration_ms);
+            out.push_str(", \"items\": { ");
+            for (i, (k, v)) in phase.items.iter().enumerate() {
+                if i > 0 {
+                    out.push_str(", ");
+                }
+                json::write_str(out, k);
+                out.push_str(": ");
+                json::write_f64(out, *v);
+            }
+            out.push_str(" }");
+        });
+        write_section(&mut out, "epochs", &self.epochs, |out, e| {
+            str_field(out, "phase", &e.phase);
+            let _ = write!(out, ", \"epoch\": {}", e.epoch);
+            f64_field(out, "train_loss", f64::from(e.train_loss));
+            f64_field(out, "aux_loss", f64::from(e.aux_loss));
+            f64_field(out, "val_loss", f64::from(e.val_loss));
+            let _ = write!(out, ", \"improved\": {}, \"bad_epochs\": {}", e.improved, e.bad_epochs);
+        });
+        out.push_str("\n}\n");
         out
     }
 
@@ -573,38 +524,36 @@ pub fn mask_durations(json: &str) -> String {
     out
 }
 
-// ---------------------------------------------------------------------------
-// JSON helpers (same hand-rolled style as `gnn4tdl-bench`'s report writer)
-// ---------------------------------------------------------------------------
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// One report section after the previous field: `,\n  "name": [\n`, one
+/// `    { .. }` line per item joined by `,\n`, then `\n  ]`.
+fn write_section<'a, T: 'a>(
+    out: &mut String,
+    name: &str,
+    items: impl IntoIterator<Item = &'a T>,
+    mut fields: impl FnMut(&mut String, &'a T),
+) {
+    let _ = write!(out, ",\n  \"{name}\": [\n");
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push_str(",\n");
         }
+        out.push_str("    { ");
+        fields(out, item);
+        out.push_str(" }");
     }
-    out.push('"');
-    out
+    out.push_str("\n  ]");
 }
 
-fn json_f64(v: f64) -> String {
-    if !v.is_finite() {
-        return "null".to_string();
-    }
-    let s = format!("{v}");
-    if s.contains('.') || s.contains('e') {
-        s
-    } else {
-        format!("{s}.0")
-    }
+/// `"key": "value"`: the first field of every report line.
+fn str_field(out: &mut String, key: &str, value: &str) {
+    let _ = write!(out, "\"{key}\": ");
+    json::write_str(out, value);
+}
+
+/// `, "key": value` after an earlier field.
+fn f64_field(out: &mut String, key: &str, value: f64) {
+    let _ = write!(out, ", \"{key}\": ");
+    json::write_f64(out, value);
 }
 
 #[cfg(test)]
@@ -705,6 +654,11 @@ mod tests {
 
     #[test]
     fn json_f64_formats_like_bench_reports() {
+        let json_f64 = |v: f64| {
+            let mut out = String::new();
+            json::write_f64(&mut out, v);
+            out
+        };
         assert_eq!(json_f64(2.0), "2.0");
         assert_eq!(json_f64(2.5), "2.5");
         assert_eq!(json_f64(f64::NAN), "null");

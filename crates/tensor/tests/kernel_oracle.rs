@@ -193,3 +193,49 @@ fn dot_kmajor_matches_oracle_on_odd_widths() {
         }
     }
 }
+
+/// Best-of-reps single-shape GEMM throughput (GFLOP/s) under `kern`.
+fn gemm_gflops(m: usize, k: usize, n: usize, kern: Kernel) -> f64 {
+    let mut s = 0x9e3779b97f4a7c15u64;
+    let mut fill = |len: usize| -> Vec<f32> {
+        (0..len)
+            .map(|_| {
+                s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                ((s >> 33) as i32 % 1000) as f32 / 997.0
+            })
+            .collect()
+    };
+    let a = fill(m * k);
+    let b = fill(k * n);
+    let mut out = vec![0.0f32; m * n];
+    let flops = 2.0 * (m * k * n) as f64;
+    let reps = ((2e8 / flops).ceil() as usize).clamp(3, 2000);
+    let mut best = f64::INFINITY;
+    kernel::with_kernel(kern, || {
+        for _ in 0..reps {
+            out.fill(0.0);
+            let t = std::time::Instant::now();
+            kernel::gemm_into(m, k, n, &a, &b, &mut out, Epilogue::None);
+            best = best.min(t.elapsed().as_secs_f64());
+        }
+    });
+    flops / best / 1e9
+}
+
+/// Timing gate (release only): the selected tiled kernel must run the
+/// dominant training shape — the hidden-layer product of an n=1000 fit —
+/// at least 1.5x faster than the scalar oracle. Nothing to beat when the
+/// scalar tier is the one selected (`GNN4TDL_KERNEL=scalar`).
+#[test]
+#[ignore = "timing gate: cargo test --release -- --ignored gate_"]
+fn gate_tiled_gemm_beats_scalar_on_the_dominant_shape() {
+    let selected = kernel::select();
+    if selected == Kernel::Scalar {
+        eprintln!("skipped: the scalar kernel is selected, so there is nothing to beat");
+        return;
+    }
+    let (m, k, n) = (1000, 32, 32);
+    let speedup = gemm_gflops(m, k, n, selected) / gemm_gflops(m, k, n, Kernel::Scalar);
+    eprintln!("tiled GEMM ({selected:?}) {speedup:.2}x the scalar oracle on {m}x{k}x{n}");
+    assert!(speedup >= 1.5, "tiled GEMM speedup {speedup:.2}x on {m}x{k}x{n} is below the required 1.5x");
+}

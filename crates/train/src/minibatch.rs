@@ -11,8 +11,8 @@
 //! # Determinism contract
 //!
 //! Every random choice is a pure function of `(seed, epoch, batch)` through
-//! splitmix64 hash streams (the same generator `tensor::fault` replays fault
-//! schedules with): the per-epoch seed permutation, the per-node neighbor
+//! [`gnn4tdl_tensor::splitmix64`] hash streams (the generator `tensor::fault`
+//! replays fault schedules with): the per-epoch seed permutation, the per-node neighbor
 //! draws, and the per-batch dropout seeds. The heavy kernels underneath —
 //! [`gnn4tdl_tensor::CsrMatrix::induced_subgraph`] and
 //! [`gnn4tdl_tensor::Matrix::gather_rows`] — are bitwise thread-invariant, so
@@ -40,7 +40,7 @@ use std::time::Instant;
 
 use gnn4tdl_graph::Graph;
 use gnn4tdl_nn::{BlockModel, Session};
-use gnn4tdl_tensor::{fault, obs, Matrix, ParamStore};
+use gnn4tdl_tensor::{fault, obs, splitmix64, Matrix, ParamStore};
 
 use crate::checkpoint::Checkpointer;
 use crate::task::{NodeTask, SupervisedModel, TaskTarget};
@@ -59,16 +59,6 @@ pub enum Batching {
     /// `fanouts` (neighbors sampled per node, outermost layer first) into an
     /// induced-subgraph block.
     Neighbor { batch_size: usize, fanouts: Vec<usize>, seed: u64 },
-}
-
-/// SplitMix64 — the same finalizer `tensor::fault` uses for its replayable
-/// draw streams. Good dispersion from consecutive inputs, so counter-derived
-/// keys are safe.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// Chains key parts into one stream seed: order-sensitive, so

@@ -6,13 +6,15 @@
 //! bitwise-identical blocks at any worker count — and a seeded
 //! `fit_minibatch` refit must reproduce the trained weights bit-for-bit.
 
+use gnn4tdl_construct::{build_instance_graph, EdgeRule, Similarity};
+use gnn4tdl_data::metrics::accuracy;
 use gnn4tdl_data::synth::{gaussian_clusters, ClustersConfig};
 use gnn4tdl_data::{encode_all, Split};
 use gnn4tdl_graph::Graph;
 use gnn4tdl_nn::GcnModel;
-use gnn4tdl_tensor::{parallel, Matrix, ParamStore};
+use gnn4tdl_tensor::{parallel, pool, Matrix, ParamStore};
 use gnn4tdl_train::{
-    fit_minibatch, predict, NeighborSampler, NodeTask, SampledBlock, SupervisedModel, TrainConfig,
+    fit, fit_minibatch, predict, NeighborSampler, NodeTask, SampledBlock, SupervisedModel, TrainConfig,
     TrainReport,
 };
 use rand::rngs::StdRng;
@@ -203,4 +205,70 @@ fn training_loss_decreases_and_predictions_are_useful() {
         .count();
     let acc = hits as f64 / task.split.test.len() as f64;
     assert!(acc > 0.5, "test accuracy {acc:.2} not better than chance");
+}
+
+/// Timing-free but release-sized gate: at n=10k, in the semi-supervised
+/// regime (1% of rows labelled), neighbor-sampled minibatch training must
+/// reach full-batch test accuracy within 0.02, and the prefetched sampler
+/// must produce exactly the prediction bits of inline sampling.
+#[test]
+#[ignore = "release-sized gate: cargo test --release -- --ignored gate_"]
+fn gate_minibatch_accuracy_drop_at_10k_rows() {
+    const CLASSES: usize = 3;
+    pool::enable();
+    let mut rng = StdRng::seed_from_u64(42);
+    let dataset = gaussian_clusters(
+        &ClustersConfig {
+            n: 10_000,
+            informative: 12,
+            noise_features: 4,
+            classes: CLASSES,
+            cluster_std: 0.8,
+            center_scale: 3.0,
+        },
+        &mut rng,
+    );
+    let labels = dataset.target.labels().to_vec();
+    let split = Split::stratified(&labels, 0.01, 0.01, &mut rng);
+    let features = encode_all(&dataset.table).features;
+    let in_dim = features.cols();
+    let graph = build_instance_graph(&features, Similarity::Euclidean, EdgeRule::Knn { k: 10 });
+    let task = NodeTask::classification(features, labels.clone(), CLASSES, split.clone());
+    let cfg = TrainConfig { epochs: 25, patience: 0, ..Default::default() };
+    let sampler = NeighborSampler::new(128, vec![4, 3], 11);
+
+    // Each leg starts from a cold pool and a freshly seeded model; returns
+    // (test accuracy, prediction bits).
+    let leg = |minibatch: Option<bool>| {
+        pool::clear_local();
+        let mut store = ParamStore::new();
+        let mut rng = StdRng::seed_from_u64(7);
+        let start = store.len();
+        let enc = GcnModel::new(&mut store, &graph, &[in_dim, 32], 0.0, &mut rng);
+        let model = SupervisedModel::new(&mut store, start, enc, CLASSES, &mut rng);
+        match minibatch {
+            None => {
+                fit(&model, &mut store, &task, &[], &cfg);
+            }
+            Some(prefetch) => {
+                let leg_cfg = TrainConfig { prefetch, ..cfg.clone() };
+                fit_minibatch(&model, &mut store, &graph, &task, &sampler, &leg_cfg);
+            }
+        }
+        let pred = predict(&model, &store, &task.features);
+        let argmax = pred.argmax_rows();
+        let p: Vec<usize> = split.test.iter().map(|&i| argmax[i]).collect();
+        let t: Vec<usize> = split.test.iter().map(|&i| labels[i]).collect();
+        (accuracy(&p, &t), pred.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>())
+    };
+    let (full_acc, _) = leg(None);
+    let (_, inline_bits) = leg(Some(false));
+    let (mini_acc, prefetch_bits) = leg(Some(true));
+    assert!(
+        prefetch_bits == inline_bits,
+        "prefetched minibatch predictions differ bitwise from inline sampling"
+    );
+    let drop = full_acc - mini_acc;
+    eprintln!("n=10000: accuracy {full_acc:.4} full-batch, {mini_acc:.4} minibatch (drop {drop:.4})");
+    assert!(drop <= 0.02, "minibatch accuracy drop {drop:.4} exceeds the allowed 0.02");
 }
