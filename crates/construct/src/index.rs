@@ -30,7 +30,7 @@
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
-use gnn4tdl_tensor::{kernel, obs, parallel, pool, splitmix64, GnnError, Matrix};
+use gnn4tdl_tensor::{kernel, obs, parallel, splitmix64, GnnError, Matrix};
 
 use crate::similarity::{row_sq_norms, Similarity};
 
@@ -166,9 +166,8 @@ pub(crate) fn row_blocks(n: usize, per_block: usize) -> Vec<(usize, usize)> {
 /// sized from `n` only, never from the worker count.
 const KNN_PANEL_ELEMS: usize = 1 << 16;
 
-/// Copies rows `r0..r1` of `x` into a fresh (pooled) matrix — the
-/// left-hand panel of one blocked GEMM. Allocated on the coordinating
-/// thread so the buffer comes from (and returns to) the thread-local pool.
+/// Copies rows `r0..r1` of `x` into a fresh matrix — the left-hand panel
+/// of one blocked GEMM.
 fn row_panel(x: &Matrix, r0: usize, r1: usize) -> Matrix {
     let w = x.cols();
     let mut out = Matrix::zeros(r1 - r0, w);
@@ -282,10 +281,7 @@ impl NeighborIndex for ExactIndex<'_> {
                 rows
             });
             out.extend(per_chunk.into_iter().flatten());
-            pool::recycle_matrix(panel);
-            pool::recycle_matrix(scores);
         }
-        pool::recycle_matrix(xt);
         out
     }
 }

@@ -1,7 +1,7 @@
 //! Pairwise similarity / distance measures used by rule-based and
 //! metric-based graph construction (survey Table 3's "Similarity" column).
 
-use gnn4tdl_tensor::{parallel, pool, Matrix};
+use gnn4tdl_tensor::{parallel, Matrix};
 
 /// Similarity measure between feature rows.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -42,9 +42,7 @@ impl Similarity {
     /// is still exactly symmetric and bit-identical at any thread count.
     pub fn pairwise(&self, x: &Matrix) -> Matrix {
         let n = x.rows();
-        let xt = x.transpose();
-        let mut g = x.matmul(&xt);
-        pool::recycle_matrix(xt);
+        let mut g = x.matmul(&x.transpose());
         let sq = row_sq_norms(x);
         let (sq_ref, measure) = (&sq, *self);
         // Row blocks sized from n only (~16k entries each).

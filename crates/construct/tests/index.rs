@@ -8,7 +8,7 @@ use gnn4tdl_construct::{
 };
 use gnn4tdl_data::encode_all;
 use gnn4tdl_data::synth::{gaussian_clusters, ClustersConfig};
-use gnn4tdl_tensor::{parallel, pool, Matrix};
+use gnn4tdl_tensor::{parallel, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -65,7 +65,6 @@ fn hnsw_recall_at_10_meets_gate() {
 #[ignore = "timing gate: cargo test --release -- --ignored gate_"]
 fn gate_hnsw_construction_recall_and_speedup_at_50k() {
     let k = 10;
-    pool::enable();
     let mut rng = StdRng::seed_from_u64(42);
     let dataset = gaussian_clusters(
         &ClustersConfig {

@@ -27,7 +27,7 @@
 //! approximate: every node within `layers` hops of the new row keeps its
 //! complete neighbor list (and hence its global degree) inside the ball, so
 //! the normalized adjacency entries the center prediction consumes are
-//! identical to the full extended-graph operator. [`Self::predict_full`]
+//! identical to the full extended-graph operator. [`ServableModel::predict_full`]
 //! materializes that full extended graph as the test oracle.
 //!
 //! # Determinism contract

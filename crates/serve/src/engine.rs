@@ -602,6 +602,11 @@ impl EngineSlot {
 
 #[cfg(test)]
 mod tests {
+    //! Every test that reaches an io failpoint (`serve.request`,
+    //! `wal.append`, `servable.load`, or the `atomic_write` trip) takes
+    //! `fault::TEST_MUTEX`: the fault plan is process-global, so a
+    //! concurrent test arming io-fail would otherwise fail its requests.
+
     use super::*;
     use gnn4tdl::servable::{ServableConfig, ServableModel};
     use gnn4tdl::EncoderSpec;
@@ -667,6 +672,7 @@ mod tests {
 
     #[test]
     fn exact_engine_is_stateless_and_repeatable() {
+        let _guard = fault::TEST_MUTEX.lock().unwrap_or_else(|p| p.into_inner());
         let engine = Engine::new(fitted(IndexKind::Exact)).unwrap();
         let row: Vec<f32> = (0..engine.in_dim()).map(|i| (i as f32 * 0.37).sin()).collect();
         let a = engine.predict(&row).unwrap();
@@ -692,6 +698,7 @@ mod tests {
 
     #[test]
     fn bad_rows_are_rejected_before_index_mutation() {
+        let _guard = fault::TEST_MUTEX.lock().unwrap_or_else(|p| p.into_inner());
         let engine = Engine::new(fitted(hnsw_kind())).unwrap();
         let mut row = vec![0.5f32; engine.in_dim()];
         row[1] = f32::INFINITY; // what a finite JSON 1e300 becomes after the f32 cast
@@ -704,6 +711,7 @@ mod tests {
 
     #[test]
     fn request_cap_bounds_retained_rows_via_rebuild() {
+        let _guard = fault::TEST_MUTEX.lock().unwrap_or_else(|p| p.into_inner());
         let engine = Engine::with_request_cap(fitted(hnsw_kind()), 8).unwrap();
         for step in 0..30 {
             let row = req_row(&engine, step);
@@ -730,6 +738,7 @@ mod tests {
 
     #[test]
     fn batch_matches_singles() {
+        let _guard = fault::TEST_MUTEX.lock().unwrap_or_else(|p| p.into_inner());
         let engine = Engine::new(fitted(IndexKind::Exact)).unwrap();
         let rows: Vec<Vec<f32>> = (0..3)
             .map(|r| (0..engine.in_dim()).map(|i| ((i * (r + 2)) as f32 * 0.11).sin()).collect())
@@ -742,6 +751,7 @@ mod tests {
 
     #[test]
     fn hnsw_batch_matches_singles_on_twin_engines() {
+        let _guard = fault::TEST_MUTEX.lock().unwrap_or_else(|p| p.into_inner());
         // Two engines from the same snapshot start bitwise-identical; one
         // serves the rows as a batch, the other one by one. The Hnsw
         // contract is per-sequence, so equality must hold row for row.
@@ -758,6 +768,7 @@ mod tests {
 
     #[test]
     fn durable_engine_replays_wal_bitwise() {
+        let _guard = fault::TEST_MUTEX.lock().unwrap_or_else(|p| p.into_inner());
         let state = state_dir("replay");
         let model = fitted(hnsw_kind());
         state.install(&model).unwrap();
@@ -801,6 +812,7 @@ mod tests {
 
     #[test]
     fn compaction_folds_and_restarts_identically() {
+        let _guard = fault::TEST_MUTEX.lock().unwrap_or_else(|p| p.into_inner());
         let state = state_dir("compact");
         let model = fitted(hnsw_kind());
         state.install(&model).unwrap();
@@ -831,6 +843,7 @@ mod tests {
 
     #[test]
     fn reload_swaps_generation_and_rejects_corrupt_snapshots() {
+        let _guard = fault::TEST_MUTEX.lock().unwrap_or_else(|p| p.into_inner());
         let slot = EngineSlot::new(Engine::new(fitted(hnsw_kind())).unwrap());
         assert_eq!(slot.current().generation(), 0);
 

@@ -19,7 +19,7 @@ use gnn4tdl_construct::{IndexKind, Similarity};
 use gnn4tdl_data::synth::{gaussian_clusters, ClustersConfig};
 use gnn4tdl_data::{encode_all, Split};
 use gnn4tdl_serve::{http, json, serve, Engine, EngineSlot, ServerConfig};
-use gnn4tdl_tensor::{obs, pool};
+use gnn4tdl_tensor::obs;
 use gnn4tdl_train::TrainConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -68,7 +68,6 @@ fn drive(addr: SocketAddr, payloads: &[Vec<u8>]) -> Vec<f64> {
 #[test]
 #[ignore = "timing gate: cargo test --release -- --ignored gate_"]
 fn gate_serving_latency_throughput_and_local_speedup() {
-    pool::enable();
     obs::enable();
 
     let mut rng = StdRng::seed_from_u64(42);

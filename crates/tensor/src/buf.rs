@@ -1,17 +1,18 @@
 //! Owned `f32` buffers with cache-line alignment.
 //!
 //! The SIMD micro-kernels in [`crate::kernel`] want their hot loads — packed
-//! B panels, output tiles, pooled tape/gradient buffers — to never straddle
-//! a cache line. `Vec<f32>` only guarantees 4-byte alignment, and a `Vec`
+//! B panels, output tiles, tape values and gradients — to never straddle a
+//! cache line. `Vec<f32>` only guarantees 4-byte alignment, and a `Vec`
 //! cannot legally adopt storage allocated at a larger alignment (its `Drop`
 //! deallocates with the element layout, which would be undefined behavior).
-//! [`Buf`] is the replacement: an owned `f32` slice whose pool-allocated
-//! variant is 64-byte aligned ([`ALIGN`]), with a zero-copy escape hatch for
-//! adopting plain `Vec<f32>` storage on cold constructor paths.
+//! [`Buf`] is the replacement: an owned `f32` slice whose every allocation
+//! goes through [`Buf::zeroed`] and is 64-byte aligned ([`ALIGN`]), with a
+//! zero-copy escape hatch for adopting plain `Vec<f32>` storage on cold
+//! constructor paths. Dropping a `Buf` frees it.
 //!
 //! Alignment never changes numeric results — kernels use unaligned loads and
 //! identical instruction sequences either way — it only removes split-line
-//! penalties, so the pool's bitwise-determinism contract is unaffected.
+//! penalties.
 
 use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
 use std::ops::{Deref, DerefMut};
@@ -57,6 +58,13 @@ impl Buf {
         Self { inner: Inner::Aligned { ptr, len } }
     }
 
+    /// An aligned copy of `src`.
+    pub(crate) fn copied(src: &[f32]) -> Self {
+        let mut out = Self::zeroed(src.len());
+        out.copy_from_slice(src);
+        out
+    }
+
     /// Adopts `Vec` storage without copying. The result reports
     /// [`Self::is_lane_aligned`] only if the allocator happened to align it.
     pub fn from_vec(v: Vec<f32>) -> Self {
@@ -73,7 +81,7 @@ impl Buf {
     }
 
     /// Whether the storage sits on an [`ALIGN`]-byte boundary (vacuously
-    /// true when empty). Every pool-allocated buffer satisfies this.
+    /// true when empty). Every buffer from [`Self::zeroed`] satisfies this.
     pub fn is_lane_aligned(&self) -> bool {
         self.is_empty() || (self.as_ptr() as usize).is_multiple_of(ALIGN)
     }
@@ -116,11 +124,7 @@ impl Clone for Buf {
     /// aligned allocations, adopted `Vec`s into `Vec`s.
     fn clone(&self) -> Self {
         match &self.inner {
-            Inner::Aligned { .. } => {
-                let mut out = Buf::zeroed(self.len());
-                out.copy_from_slice(self);
-                out
-            }
+            Inner::Aligned { .. } => Self::copied(self),
             Inner::Heap(v) => Self { inner: Inner::Heap(v.clone()) },
         }
     }

@@ -249,17 +249,15 @@ thread_local! {
     /// `parallel` pool worker (e.g. a `par_join` branch of the LinearRelu
     /// backward) — and because pool workers never die, the scratch stays
     /// warm: after the first product of a given size, packing allocates
-    /// nothing. Deliberately NOT the shape-keyed `crate::pool`: which
-    /// thread runs a product is scheduling-dependent, so pool traffic here
-    /// would make the obs hit/miss ledger racy and thread-count-dependent.
-    /// Instead the ledger gets the logical `pack.takes` count (one per
-    /// product) and the physical reuse tallies live in [`pack_stats`].
+    /// nothing. Which thread runs a product is scheduling-dependent, so the
+    /// obs ledger gets the logical `pack.takes` count (one per product) and
+    /// the physical reuse tallies live in [`pack_stats`].
     static PACK_SCRATCH: RefCell<Buf> = RefCell::new(Buf::zeroed(0));
 }
 
 /// Process-wide physical pack-scratch tallies across every thread: `hits`
 /// are packs served by an already-large-enough warm scratch, `misses` are
-/// packs that had to (re)allocate it. (`recycles` is unused here.)
+/// packs that had to (re)allocate it.
 static PACK_HITS: AtomicU64 = AtomicU64::new(0);
 static PACK_MISSES: AtomicU64 = AtomicU64::new(0);
 
@@ -269,7 +267,6 @@ pub fn pack_stats() -> crate::pool::PoolStats {
     crate::pool::PoolStats {
         hits: PACK_HITS.load(Ordering::Relaxed),
         misses: PACK_MISSES.load(Ordering::Relaxed),
-        recycles: 0,
     }
 }
 

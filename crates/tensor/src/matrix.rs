@@ -2,16 +2,15 @@
 //!
 //! This is the numeric workhorse of the workspace: node feature tables,
 //! layer weights, gradients and intermediate activations are all `Matrix`
-//! values. The representation is a flat `Vec<f32>` in row-major order, which
-//! keeps row gathers/scatters (the hot operations in message passing) cache
-//! friendly.
+//! values. The representation is a flat 64-byte-aligned [`Buf`] in row-major
+//! order, which keeps row gathers/scatters (the hot operations in message
+//! passing) cache friendly.
 
 use rand::Rng;
 
 use crate::buf::Buf;
 use crate::kernel;
 use crate::parallel;
-use crate::pool;
 
 /// Elements per chunk for parallel elementwise loops. Chunk boundaries are
 /// fixed by this constant (never by worker count), so results are identical
@@ -58,11 +57,9 @@ pub struct Matrix {
 }
 
 impl Clone for Matrix {
-    /// Copies through the buffer pool ([`crate::pool`]): the clone's storage
-    /// is a recycled buffer when one of the right size is parked, fully
-    /// overwritten with `self`'s contents either way.
+    /// Copies into a fresh aligned buffer, whatever storage `self` has.
     fn clone(&self) -> Self {
-        Self { rows: self.rows, cols: self.cols, data: pool::take_copied(&self.data) }
+        Self { rows: self.rows, cols: self.cols, data: Buf::copied(&self.data) }
     }
 }
 
@@ -84,22 +81,16 @@ impl std::fmt::Debug for Matrix {
 }
 
 impl Matrix {
-    /// Creates a matrix filled with zeros. Storage comes from the buffer
-    /// pool ([`crate::pool`]) and is zeroed on reuse, so pooled and
-    /// non-pooled runs are bitwise identical.
+    /// Creates a matrix filled with zeros.
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        Self { rows, cols, data: pool::take_zeroed(rows * cols) }
+        Self { rows, cols, data: Buf::zeroed(rows * cols) }
     }
 
-    /// Explicit alias for [`Self::zeros`] that makes the pooling visible at
-    /// call sites built around take/recycle pairs.
-    pub fn zeros_pooled(rows: usize, cols: usize) -> Self {
-        Self::zeros(rows, cols)
-    }
-
-    /// Creates a matrix filled with a constant (pooled storage).
+    /// Creates a matrix filled with a constant.
     pub fn full(rows: usize, cols: usize, value: f32) -> Self {
-        Self { rows, cols, data: pool::take_filled(rows * cols, value) }
+        let mut m = Self::zeros(rows, cols);
+        m.data.fill(value);
+        m
     }
 
     /// Creates a matrix from a flat row-major vector.
@@ -136,12 +127,12 @@ impl Matrix {
 
     /// A 1xN row vector.
     pub fn row_vector(values: &[f32]) -> Self {
-        Self { rows: 1, cols: values.len(), data: pool::take_copied(values) }
+        Self { rows: 1, cols: values.len(), data: Buf::copied(values) }
     }
 
     /// An Nx1 column vector.
     pub fn col_vector(values: &[f32]) -> Self {
-        Self { rows: values.len(), cols: 1, data: pool::take_copied(values) }
+        Self { rows: values.len(), cols: 1, data: Buf::copied(values) }
     }
 
     /// The identity matrix of size `n`.
@@ -206,16 +197,10 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Extracts the storage as a plain `Vec` (copies when the storage is a
-    /// pool-aligned allocation; cold paths only — hot recycling goes through
-    /// [`Self::into_buf`]).
+    /// Extracts the storage as a plain `Vec` (copies when the storage is an
+    /// aligned allocation; cold paths only).
     pub fn into_vec(self) -> Vec<f32> {
         self.data.into_vec()
-    }
-
-    /// The backing buffer, for recycling via [`crate::pool::recycle`].
-    pub fn into_buf(self) -> Buf {
-        self.data
     }
 
     /// Immutable view of row `r`.
@@ -277,10 +262,9 @@ impl Matrix {
     }
 
     /// Accumulates `self * other` into `out` (`out += self * other`; `out`
-    /// must be `self.rows x other.cols`, typically freshly zeroed). Exists
-    /// so callers can supply a pooled output allocated on the coordinating
-    /// thread — the tape's backward pass computes both `MatMul` gradients
-    /// under `par_join` without allocating on a worker.
+    /// must be `self.rows x other.cols`, typically freshly zeroed). The
+    /// tape's backward pass uses it to fill both `MatMul` gradients under
+    /// `par_join` into outputs it allocated on the coordinating thread.
     ///
     /// # Panics
     /// Panics on inner-dimension or output-shape mismatch.
@@ -339,7 +323,7 @@ impl Matrix {
     /// Elementwise binary map; shapes must match.
     pub fn zip_map(&self, other: &Matrix, f: impl Fn(f32, f32) -> f32) -> Matrix {
         assert_eq!(self.shape(), other.shape(), "elementwise shape mismatch");
-        let mut data = pool::take_unspecified(self.data.len());
+        let mut data = Buf::zeroed(self.data.len());
         for ((o, &a), &b) in data.iter_mut().zip(&self.data).zip(&other.data) {
             *o = f(a, b);
         }
@@ -348,7 +332,7 @@ impl Matrix {
 
     /// Elementwise unary map.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Matrix {
-        let mut data = pool::take_unspecified(self.data.len());
+        let mut data = Buf::zeroed(self.data.len());
         for (o, &a) in data.iter_mut().zip(&self.data) {
             *o = f(a);
         }
@@ -359,8 +343,7 @@ impl Matrix {
     /// [`Self::zip_map`] which stays sequential for arbitrary closures).
     fn par_zip(&self, other: &Matrix, f: impl Fn(f32, f32) -> f32 + Sync) -> Matrix {
         assert_eq!(self.shape(), other.shape(), "elementwise shape mismatch");
-        let mut out =
-            Matrix { rows: self.rows, cols: self.cols, data: pool::take_unspecified(self.data.len()) };
+        let mut out = Matrix::zeros(self.rows, self.cols);
         let (a, b) = (&self.data, &other.data);
         parallel::par_chunks_mut(&mut out.data, ELEM_CHUNK, |i, chunk| {
             let off = i * ELEM_CHUNK;
@@ -406,7 +389,7 @@ impl Matrix {
     }
 
     /// Sum of all elements (fixed chunked reduction order; see
-    /// [`REDUCE_CHUNK`]).
+    /// `REDUCE_CHUNK`).
     pub fn sum(&self) -> f32 {
         par_reduce_sum(&self.data, |x| x)
     }
@@ -498,7 +481,7 @@ impl Matrix {
 
     /// Gathers rows by index into a new matrix (rows may repeat).
     ///
-    /// Parallel over fixed element-count chunks of the (pooled) output, so
+    /// Parallel over fixed element-count chunks of the output, so
     /// the copy is bitwise identical at any thread count. This is the
     /// row-gather kernel behind minibatch feature blocks and split slicing.
     pub fn gather_rows(&self, index: &[usize]) -> Matrix {

@@ -201,10 +201,6 @@ pub static PAR_JOINS: HotCounter = HotCounter::new("par.joins");
 pub static CSR_BYTES: HotCounter = HotCounter::new("csr.bytes");
 /// CSR matrices materialised.
 pub static CSR_ALLOCS: HotCounter = HotCounter::new("csr.allocs");
-/// Buffer-pool takes served from a free list (`pool.rs`).
-pub static POOL_HITS: HotCounter = HotCounter::new("pool.hits");
-/// Buffer-pool takes that fell back to a fresh allocation.
-pub static POOL_MISSES: HotCounter = HotCounter::new("pool.misses");
 /// Rows extracted by `CsrMatrix::induced_subgraph` (`sparse.rs`).
 pub static CSR_SUBGRAPH_ROWS: HotCounter = HotCounter::new("csr.subgraph.rows");
 /// Stored entries surviving `CsrMatrix::induced_subgraph`.
@@ -217,15 +213,13 @@ pub static GATHER_ROWS: HotCounter = HotCounter::new("gather.rows");
 /// the physical tallies), so masked reports stay thread-count-invariant.
 pub static PACK_TAKES: HotCounter = HotCounter::new("pack.takes");
 
-const HOT_COUNTERS: [&HotCounter; 12] = [
+const HOT_COUNTERS: [&HotCounter; 10] = [
     &TAPE_NODES,
     &PAR_CHUNKS,
     &PAR_ITEMS,
     &PAR_JOINS,
     &CSR_BYTES,
     &CSR_ALLOCS,
-    &POOL_HITS,
-    &POOL_MISSES,
     &CSR_SUBGRAPH_ROWS,
     &CSR_SUBGRAPH_NNZ,
     &GATHER_ROWS,
@@ -353,12 +347,9 @@ pub fn record_epoch(record: EpochRecord) {
     registry().epochs.push(record);
 }
 
-/// Clears every span, metric, and telemetry record (hot counters included),
-/// plus the calling thread's buffer-pool free lists and tallies — so two
-/// back-to-back measured runs both start from a cold pool and produce the
-/// same hit/miss ledger. The enable switch is left untouched.
+/// Clears every span, metric, and telemetry record (hot counters included).
+/// The enable switch is left untouched.
 pub fn reset() {
-    crate::pool::clear_local();
     for hot in HOT_COUNTERS {
         hot.value.store(0, Ordering::Relaxed);
     }

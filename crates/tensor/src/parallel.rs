@@ -33,12 +33,11 @@
 //! blocks on a join barrier until every participating worker has checked
 //! out. Dispatching a region costs two condvar round-trips (~1µs) instead
 //! of the ~10µs-per-thread spawn/join of the old `std::thread::scope`
-//! design, and because the threads never die, their thread-local state —
-//! buffer-pool free lists ([`crate::pool`]) and the GEMM pack scratch
-//! ([`crate::kernel`]) — stays warm across regions.
+//! design, and because the threads never die, their thread-local GEMM pack
+//! scratch ([`crate::kernel`]) stays warm across regions.
 //!
 //! Thread-count changes *over-provision*: the pool grows to the largest
-//! count ever requested (capped at [`MAX_HELPERS`]) and smaller regions
+//! count ever requested (capped at `MAX_HELPERS`) and smaller regions
 //! dispatch to a prefix subset — workers whose index is beyond the region's
 //! worker count skip the generation and go back to sleep. `set_threads`,
 //! `with_threads`, and `GNN4TDL_THREADS` therefore take effect immediately,

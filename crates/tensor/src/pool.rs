@@ -1,115 +1,21 @@
-//! Shape-keyed buffer pool backing the training hot loop.
+//! Inert remains of the tensor buffer pool.
 //!
-//! Every steady-state epoch rebuilds a tape whose node values and gradients
-//! have the same handful of shapes as the epoch before. Instead of paying a
-//! fresh heap allocation (and a free) for each of them, the pool keeps
-//! per-thread free lists of [`Buf`] buffers keyed by element count:
-//! [`take_zeroed`]/[`take_filled`]/[`take_copied`] pop a buffer when one of
-//! the right size is available, and [`recycle`] returns buffers when a tape
-//! or gradient set is dropped.
-//!
-//! # Alignment
-//!
-//! Every buffer the pool hands out is 64-byte aligned ([`crate::buf::ALIGN`]
-//! — fresh allocations are aligned, and only aligned buffers are parked on
-//! recycle), so SIMD loads in the [`crate::kernel`] micro-kernels never
-//! straddle a cache line. Alignment holds whether pooling is on or off.
-//!
-//! # Determinism
-//!
-//! Pooling must never change a single bit of any result. Two rules enforce
-//! that:
-//!
-//! * A reused buffer is always rewritten in full before it is readable:
-//!   [`take_zeroed`] memsets it, [`take_filled`] fills it, and
-//!   [`take_copied`] overwrites it with the source slice. Stale contents are
-//!   unobservable (guarded by the proptest in `tests/pool_reuse.rs`).
-//! * Free lists are **thread-local** and the workspace's allocation sites
-//!   all run on the coordinating thread (`parallel` workers hand out
-//!   `&mut` chunks of coordinator-owned buffers instead of allocating), so
-//!   the hit/miss sequence — and therefore the obs ledger — is identical at
-//!   any `GNN4TDL_THREADS` setting. With the persistent worker pool those
-//!   threads never die, so any buffers a worker does park (and the GEMM
-//!   pack scratch in [`crate::kernel`]) stay warm across parallel regions
-//!   instead of dying with a scoped thread.
-//!
-//! # Switching it off
-//!
-//! Set `GNN4TDL_POOL=0` (or `false`/`off`) to bypass the pool entirely:
-//! every take becomes a plain (still aligned) allocation and recycles drop
-//! their buffer. Results are bitwise identical either way; the escape hatch
-//! exists for memory-profiling and for the equivalence tests that prove
-//! that claim.
-//!
-//! # Observability
-//!
-//! When tracing is on, takes are counted into the `pool.hits`/`pool.misses`
-//! hot counters ([`crate::obs`]). Independent of tracing, cheap thread-local
-//! [`PoolStats`] are always maintained so benches and tests can compute hit
-//! rates without enabling the full obs ledger, and [`global_stats`] sums the
-//! same tallies over *every* thread — the number benches gate on, since
-//! persistent pool workers take and recycle too. [`crate::obs::reset`]
-//! clears the calling thread's free lists and stats, so back-to-back
-//! measured runs start from the same cold state.
+//! Every `Matrix` and CSR value buffer is a plain [`crate::Buf`] allocation
+//! that is freed on drop; there is no buffer pool (DESIGN.md says why).
+//! What is left exists only because the benchmark package (`gnnbench/`)
+//! still calls it: [`PoolStats`] (also the return type of
+//! [`crate::kernel::pack_stats`]), and [`disable`], [`reset_global_stats`]
+//! and [`global_stats`], which do nothing and report zeros. A later change
+//! to the benchmark drops those calls, and then this file can go.
 
-use std::cell::RefCell;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-
-use crate::buf::Buf;
-use crate::obs;
-
-/// Buffers kept per element-count bucket; beyond this, recycled buffers are
-/// simply freed. A single live tape holds well under this many values of any
-/// one shape, so steady-state training never hits the cap.
-const MAX_PER_BUCKET: usize = 64;
-
-/// 0 = not yet initialised from the environment, 1 = off, 2 = on.
-static STATE: AtomicU8 = AtomicU8::new(0);
-
-/// Is pooling currently on? Defaults to on; `GNN4TDL_POOL=0`/`false`/`off`
-/// disables it unless [`enable`]/[`disable`] ran first.
-#[inline]
-pub fn enabled() -> bool {
-    match STATE.load(Ordering::Relaxed) {
-        2 => true,
-        1 => false,
-        _ => init_from_env(),
-    }
-}
-
-#[cold]
-fn init_from_env() -> bool {
-    let off = std::env::var("GNN4TDL_POOL").is_ok_and(|v| {
-        let v = v.trim();
-        v == "0" || v.eq_ignore_ascii_case("false") || v.eq_ignore_ascii_case("off")
-    });
-    // Keep an explicit enable()/disable() that raced us.
-    let _ = STATE.compare_exchange(0, if off { 1 } else { 2 }, Ordering::Relaxed, Ordering::Relaxed);
-    STATE.load(Ordering::Relaxed) == 2
-}
-
-/// Turns pooling on (overrides `GNN4TDL_POOL`).
-pub fn enable() {
-    STATE.store(2, Ordering::Relaxed);
-}
-
-/// Turns pooling off (overrides `GNN4TDL_POOL`). Buffers already in free
-/// lists stay parked until [`clear_local`]; takes bypass them while off.
-pub fn disable() {
-    STATE.store(1, Ordering::Relaxed);
-}
-
-/// Thread-local take/recycle tallies, maintained whether or not tracing is
-/// enabled. `hits + misses` is the number of pool requests.
+/// Hit/miss tallies of a reuse cache; [`crate::kernel::pack_stats`] reports
+/// the GEMM pack scratch in this form.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Takes served from a free list.
+    /// Requests served by storage that was already there.
     pub hits: u64,
-    /// Takes that fell back to a fresh allocation.
+    /// Requests that had to allocate.
     pub misses: u64,
-    /// Buffers returned via [`recycle`].
-    pub recycles: u64,
 }
 
 impl PoolStats {
@@ -124,283 +30,24 @@ impl PoolStats {
     }
 }
 
-struct LocalPool {
-    buckets: HashMap<usize, Vec<Buf>>,
-    stats: PoolStats,
-}
+/// Does nothing: there is no pool to switch off.
+pub fn disable() {}
 
-thread_local! {
-    static POOL: RefCell<LocalPool> =
-        RefCell::new(LocalPool { buckets: HashMap::new(), stats: PoolStats::default() });
-}
+/// Does nothing: there are no pool tallies to zero.
+pub fn reset_global_stats() {}
 
-// Process-wide tallies summed over every thread's takes and recycles.
-// Free lists stay thread-local (the determinism rules above), but with the
-// persistent `parallel` worker pool a take can happen on a long-lived
-// worker thread (e.g. a `par_join` branch), so a coordinator-only snapshot
-// under-reports reuse. Benches gate on these instead of `local_stats`.
-static GLOBAL_HITS: AtomicU64 = AtomicU64::new(0);
-static GLOBAL_MISSES: AtomicU64 = AtomicU64::new(0);
-static GLOBAL_RECYCLES: AtomicU64 = AtomicU64::new(0);
-
-/// Snapshot of the process-wide tallies: every thread's takes and recycles
-/// since the last [`reset_global_stats`], persistent pool workers included.
+/// Always zero: no buffer is ever served from a pool.
 pub fn global_stats() -> PoolStats {
-    PoolStats {
-        hits: GLOBAL_HITS.load(Ordering::Relaxed),
-        misses: GLOBAL_MISSES.load(Ordering::Relaxed),
-        recycles: GLOBAL_RECYCLES.load(Ordering::Relaxed),
-    }
-}
-
-/// Zeroes the process-wide tallies (parked buffers are untouched).
-pub fn reset_global_stats() {
-    GLOBAL_HITS.store(0, Ordering::Relaxed);
-    GLOBAL_MISSES.store(0, Ordering::Relaxed);
-    GLOBAL_RECYCLES.store(0, Ordering::Relaxed);
-}
-
-/// Raw take: a buffer of length `len` with *unspecified contents*. Callers
-/// must fully overwrite it before exposing it, which is why this stays
-/// private — the public takes below each guarantee that. Fresh allocations
-/// are zero-filled (so the contents are always initialised memory) and
-/// 64-byte aligned; recycled buffers were aligned when parked.
-fn take_raw(len: usize) -> Buf {
-    if len == 0 || !enabled() {
-        return Buf::zeroed(len);
-    }
-    POOL.with(|pool| {
-        let mut pool = pool.borrow_mut();
-        match pool.buckets.get_mut(&len).and_then(Vec::pop) {
-            Some(buf) => {
-                debug_assert_eq!(buf.len(), len);
-                debug_assert!(buf.is_lane_aligned());
-                pool.stats.hits += 1;
-                GLOBAL_HITS.fetch_add(1, Ordering::Relaxed);
-                obs::POOL_HITS.add(1);
-                buf
-            }
-            None => {
-                pool.stats.misses += 1;
-                GLOBAL_MISSES.fetch_add(1, Ordering::Relaxed);
-                obs::POOL_MISSES.add(1);
-                Buf::zeroed(len)
-            }
-        }
-    })
-}
-
-/// Crate-internal take with unspecified (stale but valid `f32`) contents,
-/// for kernels that provably overwrite every element before the buffer is
-/// readable — e.g. elementwise maps, full-copy constructors and the GEMM
-/// B-panel packer.
-pub(crate) fn take_unspecified(len: usize) -> Buf {
-    take_raw(len)
-}
-
-/// A buffer of `len` zeros, reusing a recycled buffer when one fits.
-pub fn take_zeroed(len: usize) -> Buf {
-    let mut buf = take_raw(len);
-    buf.fill(0.0);
-    buf
-}
-
-/// A buffer of `len` copies of `value`.
-pub fn take_filled(len: usize, value: f32) -> Buf {
-    let mut buf = take_raw(len);
-    buf.fill(value);
-    buf
-}
-
-/// A buffer holding a copy of `src`.
-pub fn take_copied(src: &[f32]) -> Buf {
-    let mut buf = take_raw(src.len());
-    buf.copy_from_slice(src);
-    buf
-}
-
-/// Returns a buffer to the calling thread's free list. Over-full buckets,
-/// empty buffers, and buffers that are not lane-aligned (adopted `Vec`
-/// storage) just drop, so takes only ever serve aligned storage; with
-/// pooling disabled this is a plain drop.
-pub fn recycle(buf: Buf) {
-    if buf.is_empty() || !enabled() {
-        return;
-    }
-    POOL.with(|pool| {
-        let mut pool = pool.borrow_mut();
-        pool.stats.recycles += 1;
-        GLOBAL_RECYCLES.fetch_add(1, Ordering::Relaxed);
-        if !buf.is_lane_aligned() {
-            return;
-        }
-        let bucket = pool.buckets.entry(buf.len()).or_default();
-        if bucket.len() < MAX_PER_BUCKET {
-            bucket.push(buf);
-        }
-    });
-}
-
-/// Recycles the backing storage of a matrix.
-pub fn recycle_matrix(m: crate::Matrix) {
-    recycle(m.into_buf());
-}
-
-/// Snapshot of the calling thread's tallies.
-pub fn local_stats() -> PoolStats {
-    POOL.with(|pool| pool.borrow().stats)
-}
-
-/// Zeroes the calling thread's tallies, keeping parked buffers.
-pub fn reset_local_stats() {
-    POOL.with(|pool| pool.borrow_mut().stats = PoolStats::default());
-}
-
-/// Drops every parked buffer on the calling thread and zeroes its tallies;
-/// the next takes all miss. [`crate::obs::reset`] calls this so measured
-/// runs always start cold.
-pub fn clear_local() {
-    POOL.with(|pool| {
-        let mut pool = pool.borrow_mut();
-        pool.buckets.clear();
-        pool.stats = PoolStats::default();
-    });
+    PoolStats::default()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // The enable switch and free lists are shared within a thread; tests in
-    // this module each start from a cleared pool and leave it enabled.
-
-    #[test]
-    fn take_recycle_take_hits() {
-        enable();
-        clear_local();
-        let a = take_zeroed(17);
-        assert_eq!(local_stats(), PoolStats { hits: 0, misses: 1, recycles: 0 });
-        recycle(a);
-        let b = take_zeroed(17);
-        assert!(b.iter().all(|&x| x == 0.0));
-        assert_eq!(local_stats(), PoolStats { hits: 1, misses: 1, recycles: 1 });
-        recycle(b);
-        clear_local();
-    }
-
-    #[test]
-    fn spmv_output_is_served_from_the_pool() {
-        enable();
-        clear_local();
-        let m = crate::sparse::CsrMatrix::from_triplets(
-            3,
-            3,
-            &[(0, 0, 2.0), (1, 1, 1.0), (2, 0, 1.0), (2, 2, -4.0)],
-        );
-        let v = [1.0, -2.0, 0.5];
-        let first = m.spmv(&v);
-        assert_eq!(local_stats(), PoolStats { hits: 0, misses: 1, recycles: 0 });
-        recycle(first);
-        // Same row count → same bucket: the second product's output take
-        // must be a hit, and a recycled buffer must not perturb the result.
-        let second = m.spmv(&v);
-        assert_eq!(&second[..], &[2.0, -2.0, -1.0]);
-        assert_eq!(local_stats(), PoolStats { hits: 1, misses: 1, recycles: 1 });
-        recycle(second);
-        clear_local();
-    }
-
-    #[test]
-    fn takes_are_lane_aligned_and_alignment_survives_recycling() {
-        enable();
-        clear_local();
-        // Fresh allocations (misses) are aligned, for every take flavour and
-        // for sizes that are not multiples of the cache line.
-        let a = take_zeroed(33);
-        let u = take_unspecified(7);
-        assert!(a.is_lane_aligned(), "fresh take_zeroed not 64-byte aligned");
-        assert!(u.is_lane_aligned(), "fresh take_unspecified not 64-byte aligned");
-        recycle(a);
-        recycle(u);
-        // Hits hand back the parked (aligned) storage.
-        let b = take_filled(33, 1.5);
-        assert!(b.is_lane_aligned(), "alignment lost across recycle");
-        assert_eq!(local_stats().hits, 1);
-        // Unaligned adopted-Vec storage is never parked: the next take of
-        // that size must miss and allocate aligned.
-        let adopted = Buf::from_vec(vec![0.0; 19]);
-        let adopted_was_aligned = adopted.is_lane_aligned();
-        recycle(adopted);
-        let c = take_zeroed(19);
-        assert!(c.is_lane_aligned());
-        if !adopted_was_aligned {
-            assert_eq!(local_stats().hits, 1, "unaligned buffer was served from the pool");
-        }
-        clear_local();
-    }
-
-    #[test]
-    fn reused_buffers_are_rewritten() {
-        enable();
-        clear_local();
-        let mut a = take_zeroed(8);
-        a.fill(42.0);
-        recycle(a);
-        assert!(take_zeroed(8).iter().all(|&x| x == 0.0), "stale data survived take_zeroed");
-        let mut b = take_zeroed(8);
-        b.fill(-1.0);
-        recycle(b);
-        assert!(take_filled(8, 3.5).iter().all(|&x| x == 3.5));
-        let mut c = take_zeroed(8);
-        c.fill(9.0);
-        recycle(c);
-        let src = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0];
-        assert_eq!(&take_copied(&src)[..], &src[..]);
-        clear_local();
-    }
-
-    #[test]
-    fn wrong_size_misses() {
-        enable();
-        clear_local();
-        recycle(take_zeroed(4));
-        let _ = take_zeroed(5);
-        assert_eq!(local_stats().hits, 0);
-        assert_eq!(local_stats().misses, 2);
-        clear_local();
-    }
-
-    #[test]
-    fn bucket_cap_bounds_memory() {
-        enable();
-        clear_local();
-        for _ in 0..(MAX_PER_BUCKET + 10) {
-            recycle(Buf::zeroed(3));
-        }
-        let parked = POOL.with(|p| p.borrow().buckets.get(&3).map_or(0, Vec::len));
-        assert_eq!(parked, MAX_PER_BUCKET);
-        clear_local();
-    }
-
-    #[test]
-    fn zero_len_and_disabled_bypass() {
-        enable();
-        clear_local();
-        let empty = take_zeroed(0);
-        assert!(empty.is_empty());
-        recycle(empty);
-        assert_eq!(local_stats(), PoolStats::default());
-        disable();
-        recycle(Buf::zeroed(9));
-        let _ = take_zeroed(9);
-        assert_eq!(local_stats(), PoolStats::default());
-        enable();
-        clear_local();
-    }
-
     #[test]
     fn hit_rate_math() {
-        let s = PoolStats { hits: 9, misses: 1, recycles: 0 };
+        let s = PoolStats { hits: 9, misses: 1 };
         assert!((s.hit_rate() - 0.9).abs() < 1e-12);
         assert_eq!(PoolStats::default().hit_rate(), 0.0);
     }

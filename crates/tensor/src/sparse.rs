@@ -9,7 +9,6 @@ use crate::error::GnnError;
 use crate::kernel;
 use crate::matrix::Matrix;
 use crate::parallel;
-use crate::pool;
 
 /// Input rows per block in the parallel transpose. Fixed (never derived from
 /// the worker count) so entry placement is identical for any thread count.
@@ -162,7 +161,7 @@ impl CsrMatrix {
     }
 
     /// [`Self::from_parts_unchecked`] over an already-owned [`Buf`], so
-    /// internal builders can keep pooled value storage without a copy.
+    /// internal builders can keep aligned value storage without a copy.
     fn from_parts_buf(
         rows: usize,
         cols: usize,
@@ -267,7 +266,7 @@ impl CsrMatrix {
     /// `(nodes[i], nodes[j])` is stored in `self`. Returns the subgraph and
     /// the local→global row map (a copy of `nodes`).
     ///
-    /// Two passes over fixed [`SUBGRAPH_ROW_BLOCK`]-row blocks: a parallel
+    /// Two passes over fixed `SUBGRAPH_ROW_BLOCK`-row blocks: a parallel
     /// count of surviving entries per selected row, a sequential prefix sum
     /// into the new `indptr`, then a parallel scatter where each row writes
     /// exactly its own `[indptr[i], indptr[i+1])` range. Block boundaries
@@ -310,7 +309,7 @@ impl CsrMatrix {
         }
         let nnz = indptr[k];
         let mut indices = vec![0usize; nnz];
-        let mut values = pool::take_zeroed(nnz);
+        let mut values = Buf::zeroed(nnz);
         let idx_ptr = SendPtr(indices.as_mut_ptr());
         let val_ptr = SendPtr(values.as_mut_ptr());
         let indptr_ref = &indptr;
@@ -374,13 +373,11 @@ impl CsrMatrix {
         out
     }
 
-    /// Sparse-vector product `self * v` for a dense vector. The output
-    /// buffer comes from the buffer pool ([`crate::pool`]) — the last dense
-    /// allocation on the sparse hot path — and can be recycled by the
-    /// caller.
+    /// Sparse-vector product `self * v` for a dense vector, into an aligned
+    /// buffer.
     pub fn spmv(&self, v: &[f32]) -> Buf {
         assert_eq!(self.cols, v.len(), "spmv shape mismatch");
-        let mut out = pool::take_zeroed(self.rows);
+        let mut out = Buf::zeroed(self.rows);
         parallel::par_chunks_mut(&mut out[..], SPARSE_PRODUCT_BLOCK, |blk, chunk| {
             for (local, o) in chunk.iter_mut().enumerate() {
                 let r = blk * SPARSE_PRODUCT_BLOCK + local;

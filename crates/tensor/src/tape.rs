@@ -15,7 +15,6 @@
 use std::sync::Arc;
 
 use crate::matrix::Matrix;
-use crate::pool;
 use crate::sparse::CsrMatrix;
 
 /// A sparse adjacency packaged with its precomputed transpose.
@@ -589,8 +588,7 @@ impl Tape {
     /// returns the retained gradients. Only **leaf** gradients (parameters
     /// and inputs) are retained: every interior node's gradient buffer is
     /// consumed while propagating — moved to its single consumer,
-    /// transformed in place, or recycled into the buffer pool — which is
-    /// what keeps steady-state training epochs allocation-free.
+    /// transformed in place, or dropped.
     pub fn backward(&self, root: Var) -> Gradients {
         let rv = self.value(root);
         assert_eq!(rv.shape(), (1, 1), "backward root must be a scalar (1x1), got {:?}", rv.shape());
@@ -613,18 +611,13 @@ impl Tape {
 
     /// Adds `delta` into the parent's gradient slot, taking ownership: the
     /// first contribution moves the buffer in, later ones accumulate in
-    /// place and recycle their delta. Deltas for parents that don't need a
-    /// gradient go straight back to the pool.
+    /// place. Deltas for parents that don't need a gradient are dropped.
     fn acc_grad(&self, parent: usize, delta: Matrix, grads: &mut [Option<Matrix>]) {
         if !self.nodes[parent].needs_grad {
-            pool::recycle_matrix(delta);
             return;
         }
         match &mut grads[parent] {
-            Some(existing) => {
-                existing.axpy(1.0, &delta);
-                pool::recycle_matrix(delta);
-            }
+            Some(existing) => existing.axpy(1.0, &delta),
             slot @ None => *slot = Some(delta),
         }
     }
@@ -632,15 +625,14 @@ impl Tape {
     /// Propagates the owned gradient `g` of node `idx` to its parents.
     /// Backward rules mutate `g` in place wherever the math allows, keeping
     /// the exact per-element expressions and reduction orders of the
-    /// original out-of-place forms (results stay bitwise identical);
-    /// whatever remains of `g` is recycled into the buffer pool.
+    /// original out-of-place forms (results stay bitwise identical).
     fn accumulate_parents(&self, idx: usize, mut g: Matrix, grads: &mut [Option<Matrix>]) {
         let val = |i: usize| &self.nodes[i].value;
 
         match &self.nodes[idx].op {
             // backward() retains leaf gradients before propagating; reaching
             // here means nothing consumes g.
-            Op::Leaf => pool::recycle_matrix(g),
+            Op::Leaf => {}
             Op::Add(a, b) => {
                 let ga = g.clone();
                 self.acc_grad(*a, ga, grads);
@@ -665,10 +657,10 @@ impl Tape {
                 // The two gradient products are independent; each is itself
                 // a deterministic parallel matmul, so joining them changes
                 // nothing about the result. Transposes and both gradient
-                // outputs are allocated here on the coordinating thread —
-                // worker threads never touch the (thread-local) buffer pool
-                // — and the products accumulate into the pre-zeroed buffers
-                // under par_join.
+                // outputs are allocated here on the coordinating thread and
+                // the products accumulate into them under par_join:
+                // allocating inside the branches measured slower on
+                // gnnbench's fit-full (step p50 +5%, rows/s -10% on 2 vCPUs).
                 let (va, vb) = (&self.nodes[*a].value, &self.nodes[*b].value);
                 let bt = vb.transpose();
                 let at = va.transpose();
@@ -682,15 +674,11 @@ impl Tape {
                         || atref.matmul_into(gref, gb_mut),
                     );
                 }
-                pool::recycle_matrix(bt);
-                pool::recycle_matrix(at);
-                pool::recycle_matrix(g);
                 self.acc_grad(*a, ga, grads);
                 self.acc_grad(*b, gb, grads);
             }
             Op::SpMM(adj, h) => {
                 let gh = adj.transpose_matrix().spmm(&g);
-                pool::recycle_matrix(g);
                 self.acc_grad(*h, gh, grads);
             }
             Op::AddRow(a, bias) => {
@@ -723,9 +711,8 @@ impl Tape {
             Op::LinearRelu { x, w, bias } => {
                 // dz = g masked by the fused output (out > 0 ⟺ pre-act > 0),
                 // reusing g's buffer; bias gets dz's column sums and the two
-                // dense products mirror MatMul's coordinator-allocated
-                // par_join. Bitwise identical to the unfused
-                // Relu→AddRow→MatMul backward chain.
+                // dense products mirror MatMul's par_join. Bitwise identical
+                // to the unfused Relu→AddRow→MatMul backward chain.
                 let out = &self.nodes[idx].value;
                 for (gg, &y) in g.data_mut().iter_mut().zip(out.data()) {
                     if y <= 0.0 {
@@ -751,9 +738,6 @@ impl Tape {
                         || xtref.matmul_into(dref, gw_mut),
                     );
                 }
-                pool::recycle_matrix(wt);
-                pool::recycle_matrix(xt);
-                pool::recycle_matrix(g);
                 self.acc_grad(*x, gx, grads);
                 self.acc_grad(*w, gw, grads);
                 self.acc_grad(*bias, gb, grads);
@@ -831,7 +815,6 @@ impl Tape {
                         *o += x;
                     }
                 }
-                pool::recycle_matrix(g);
                 self.acc_grad(*a, ga, grads);
             }
             Op::ScatterAddRows { src, index } => {
@@ -839,7 +822,6 @@ impl Tape {
                 for (i, &dst) in index.iter().enumerate() {
                     gs.row_mut(i).copy_from_slice(g.row(dst));
                 }
-                pool::recycle_matrix(g);
                 self.acc_grad(*src, gs, grads);
             }
             Op::ScatterMaxRows { src, index, out_rows } => {
@@ -869,7 +851,6 @@ impl Tape {
                         }
                     }
                 }
-                pool::recycle_matrix(g);
                 self.acc_grad(*src, gs, grads);
             }
             Op::SegmentSoftmax { src, seg, n_seg } => {
@@ -888,7 +869,6 @@ impl Tape {
                         ga.set(i, c, alpha.get(i, c) * (g.get(i, c) - seg_dot[s * cols + c]));
                     }
                 }
-                pool::recycle_matrix(g);
                 self.acc_grad(*src, ga, grads);
             }
             Op::SoftmaxRows(a) => {
@@ -900,7 +880,6 @@ impl Tape {
                         ga.set(r, c, y.get(r, c) * (g.get(r, c) - dot));
                     }
                 }
-                pool::recycle_matrix(g);
                 self.acc_grad(*a, ga, grads);
             }
             Op::ConcatCols(a, b) => {
@@ -911,26 +890,22 @@ impl Tape {
                     ga.row_mut(r).copy_from_slice(&g.row(r)[..ca]);
                     gb.row_mut(r).copy_from_slice(&g.row(r)[ca..]);
                 }
-                pool::recycle_matrix(g);
                 self.acc_grad(*a, ga, grads);
                 self.acc_grad(*b, gb, grads);
             }
             Op::Transpose(a) => {
                 let ga = g.transpose();
-                pool::recycle_matrix(g);
                 self.acc_grad(*a, ga, grads);
             }
             Op::SumAll(a) => {
                 let av = val(*a);
                 let ga = Matrix::full(av.rows(), av.cols(), g.get(0, 0));
-                pool::recycle_matrix(g);
                 self.acc_grad(*a, ga, grads);
             }
             Op::MeanAll(a) => {
                 let av = val(*a);
                 let n = av.len().max(1) as f32;
                 let ga = Matrix::full(av.rows(), av.cols(), g.get(0, 0) / n);
-                pool::recycle_matrix(g);
                 self.acc_grad(*a, ga, grads);
             }
             Op::SumRows(a) => {
@@ -939,7 +914,6 @@ impl Tape {
                 for r in 0..av.rows() {
                     ga.row_mut(r).copy_from_slice(g.row(0));
                 }
-                pool::recycle_matrix(g);
                 self.acc_grad(*a, ga, grads);
             }
             Op::MeanRows(a) => {
@@ -951,7 +925,6 @@ impl Tape {
                         *o = x * inv;
                     }
                 }
-                pool::recycle_matrix(g);
                 self.acc_grad(*a, ga, grads);
             }
             Op::RowSum(a) => {
@@ -963,7 +936,6 @@ impl Tape {
                         *o = gg;
                     }
                 }
-                pool::recycle_matrix(g);
                 self.acc_grad(*a, ga, grads);
             }
             Op::SoftmaxCrossEntropy { logits, labels, mask } => {
@@ -971,7 +943,6 @@ impl Tape {
                 let (probs, _) = row_softmax(lv);
                 let weight: f32 = mask.as_ref().map_or(labels.len() as f32, |m| m.iter().sum());
                 let scale = if weight > 0.0 { g.get(0, 0) / weight } else { 0.0 };
-                pool::recycle_matrix(g);
                 let mut gl = Matrix::zeros(lv.rows(), lv.cols());
                 for (r, &y) in labels.iter().enumerate() {
                     let w = mask.as_ref().map_or(1.0, |m| m[r]);
@@ -984,14 +955,12 @@ impl Tape {
                         gl.set(r, c, w * scale * (p - t));
                     }
                 }
-                pool::recycle_matrix(probs);
                 self.acc_grad(*logits, gl, grads);
             }
             Op::BceWithLogits { logits, targets, mask } => {
                 let lv = val(*logits);
                 let weight: f32 = mask.as_ref().map_or(lv.len() as f32, |m| m.iter().sum());
                 let scale = if weight > 0.0 { g.get(0, 0) / weight } else { 0.0 };
-                pool::recycle_matrix(g);
                 let mut gl = Matrix::zeros(lv.rows(), lv.cols());
                 for (i, ((o, &x), &t)) in
                     gl.data_mut().iter_mut().zip(lv.data()).zip(targets.data()).enumerate()
@@ -1006,7 +975,6 @@ impl Tape {
                 let pv = val(*pred);
                 let weight: f32 = mask.as_ref().map_or(pv.len() as f32, |m| m.iter().sum());
                 let scale = if weight > 0.0 { g.get(0, 0) / weight } else { 0.0 };
-                pool::recycle_matrix(g);
                 let mut gl = Matrix::zeros(pv.rows(), pv.cols());
                 for (i, ((o, &x), &t)) in
                     gl.data_mut().iter_mut().zip(pv.data()).zip(target.data()).enumerate()
@@ -1020,20 +988,9 @@ impl Tape {
     }
 }
 
-impl Drop for Tape {
-    /// Recycles every node value into the buffer pool — the other half of
-    /// the take/recycle cycle that keeps steady-state epochs allocation-free
-    /// (the next tape's pushes reuse these buffers).
-    fn drop(&mut self) {
-        for node in self.nodes.drain(..) {
-            pool::recycle_matrix(node.value);
-        }
-    }
-}
-
 /// Leaf gradients produced by [`Tape::backward`]. Interior-node gradients
 /// are consumed during the backward sweep (moved to their single consumer,
-/// transformed in place, or recycled), so only leaves — parameters and
+/// transformed in place, or dropped), so only leaves — parameters and
 /// inputs — can have entries.
 pub struct Gradients {
     grads: Vec<Option<Matrix>>,
@@ -1050,17 +1007,6 @@ impl Gradients {
     /// Takes ownership of the gradient for `v`.
     pub fn take(&mut self, v: Var) -> Option<Matrix> {
         self.grads.get_mut(v.index()).and_then(|g| g.take())
-    }
-}
-
-impl Drop for Gradients {
-    /// Gradients never [taken](Self::take) go back to the buffer pool.
-    fn drop(&mut self) {
-        for slot in &mut self.grads {
-            if let Some(m) = slot.take() {
-                pool::recycle_matrix(m);
-            }
-        }
     }
 }
 

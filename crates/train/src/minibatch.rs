@@ -27,7 +27,7 @@
 //! speculatively sampled block discarded by divergence recovery would
 //! otherwise count ledger work the inline path never does), `fit_minibatch`
 //! spawns one scoped sampler thread that produces block `t+1` while block `t`
-//! trains, bounded to [`PREFETCH_DEPTH`] blocks of lookahead. Divergence
+//! trains, bounded to `PREFETCH_DEPTH` blocks of lookahead. Divergence
 //! recovery cancels the in-flight epoch's queue; early stop or an unwind on
 //! the training thread closes it, so the scope join can never deadlock.
 //! Results are bitwise identical to inline sampling — fault-injection draws
@@ -142,7 +142,7 @@ impl NeighborSampler {
 
     /// Batches of seed nodes for one epoch: `seeds` permuted by a seeded
     /// Fisher-Yates, then chunked into `batch_size` groups (the last may be
-    /// short). `epoch` selects the permutation stream; [`VAL_EPOCH`] keys
+    /// short). `epoch` selects the permutation stream; `VAL_EPOCH` keys
     /// the fixed validation plan.
     pub fn epoch_batches(&self, seeds: &[usize], epoch: u64) -> Vec<Vec<usize>> {
         let mut order: Vec<usize> = seeds.to_vec();
@@ -472,10 +472,7 @@ pub fn fit_minibatch<E: BlockModel>(
                 best_epoch = rs.best_epoch;
                 best_val = rs.best_val;
                 resumed_from = Some(rs.checkpoint_epoch);
-                let stale = std::mem::replace(&mut best_snapshot, rs.best_snapshot);
-                for m in stale {
-                    gnn4tdl_tensor::pool::recycle_matrix(m);
-                }
+                best_snapshot = rs.best_snapshot;
             }
         }
     }
@@ -535,9 +532,6 @@ pub fn fit_minibatch<E: BlockModel>(
                         }
                     }
                     optimizer.step(store, &grads);
-                }
-                for (_, g) in grads {
-                    gnn4tdl_tensor::pool::recycle_matrix(g);
                 }
                 if !divergent && !params_finite(store) {
                     divergent = true;
@@ -629,10 +623,7 @@ pub fn fit_minibatch<E: BlockModel>(
             if improved {
                 best_val = val_loss;
                 best_epoch = epoch;
-                let stale = std::mem::replace(&mut best_snapshot, store.snapshot());
-                for m in stale {
-                    gnn4tdl_tensor::pool::recycle_matrix(m);
-                }
+                best_snapshot = store.snapshot();
                 bad_epochs = 0;
             } else {
                 bad_epochs += 1;
@@ -683,9 +674,6 @@ pub fn fit_minibatch<E: BlockModel>(
         run_epochs(None);
     }
     store.restore(&best_snapshot);
-    for m in best_snapshot {
-        gnn4tdl_tensor::pool::recycle_matrix(m);
-    }
     if obs::enabled() {
         obs::gauge_set("train.best_val_loss", f64::from(best_val));
         obs::record_phase(

@@ -185,10 +185,7 @@ pub fn fit_weighted<E: NodeModel>(
                 best_epoch = rs.best_epoch;
                 best_val = rs.best_val;
                 resumed_from = Some(rs.checkpoint_epoch);
-                let stale = std::mem::replace(&mut best_snapshot, rs.best_snapshot);
-                for m in stale {
-                    gnn4tdl_tensor::pool::recycle_matrix(m);
-                }
+                best_snapshot = rs.best_snapshot;
             }
         }
     }
@@ -247,11 +244,6 @@ pub fn fit_weighted<E: NodeModel>(
                 }
             }
             optimizer.step(store, &grads);
-        }
-        // Hand the gradient buffers back to the pool: the next epoch's
-        // backward pass reuses them instead of allocating.
-        for (_, g) in grads {
-            gnn4tdl_tensor::pool::recycle_matrix(g);
         }
         // Catch a genuine blowup the step itself produced.
         if !divergent && !params_finite(store) {
@@ -324,10 +316,7 @@ pub fn fit_weighted<E: NodeModel>(
         if improved {
             best_val = val_loss;
             best_epoch = epoch;
-            let stale = std::mem::replace(&mut best_snapshot, store.snapshot());
-            for m in stale {
-                gnn4tdl_tensor::pool::recycle_matrix(m);
-            }
+            best_snapshot = store.snapshot();
             bad_epochs = 0;
         } else {
             bad_epochs += 1;
@@ -365,9 +354,6 @@ pub fn fit_weighted<E: NodeModel>(
         }
     }
     store.restore(&best_snapshot);
-    for m in best_snapshot {
-        gnn4tdl_tensor::pool::recycle_matrix(m);
-    }
     if obs::enabled() {
         obs::gauge_set("train.best_val_loss", f64::from(best_val));
         obs::record_phase(

@@ -12,7 +12,7 @@ use gnn4tdl_data::synth::{gaussian_clusters, ClustersConfig};
 use gnn4tdl_data::{encode_all, Split};
 use gnn4tdl_graph::Graph;
 use gnn4tdl_nn::GcnModel;
-use gnn4tdl_tensor::{parallel, pool, Matrix, ParamStore};
+use gnn4tdl_tensor::{parallel, Matrix, ParamStore};
 use gnn4tdl_train::{
     fit, fit_minibatch, predict, NeighborSampler, NodeTask, SampledBlock, SupervisedModel, TrainConfig,
     TrainReport,
@@ -215,7 +215,6 @@ fn training_loss_decreases_and_predictions_are_useful() {
 #[ignore = "release-sized gate: cargo test --release -- --ignored gate_"]
 fn gate_minibatch_accuracy_drop_at_10k_rows() {
     const CLASSES: usize = 3;
-    pool::enable();
     let mut rng = StdRng::seed_from_u64(42);
     let dataset = gaussian_clusters(
         &ClustersConfig {
@@ -237,10 +236,9 @@ fn gate_minibatch_accuracy_drop_at_10k_rows() {
     let cfg = TrainConfig { epochs: 25, patience: 0, ..Default::default() };
     let sampler = NeighborSampler::new(128, vec![4, 3], 11);
 
-    // Each leg starts from a cold pool and a freshly seeded model; returns
-    // (test accuracy, prediction bits).
+    // Each leg starts from a freshly seeded model; returns (test accuracy,
+    // prediction bits).
     let leg = |minibatch: Option<bool>| {
-        pool::clear_local();
         let mut store = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(7);
         let start = store.len();

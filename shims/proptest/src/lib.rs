@@ -114,7 +114,7 @@ tuple_strategy! {
 pub mod collection {
     use super::Strategy;
 
-    /// Size specifications accepted by [`vec`]: an exact length or a range.
+    /// Size specifications accepted by [`vec()`]: an exact length or a range.
     pub trait SizeRange {
         fn pick(&self, rng: &mut rand::rngs::StdRng) -> usize;
     }
