@@ -801,6 +801,11 @@ mod tests {
         ServableModel::fit(features, labels, &split, config, &train).expect("fit servable")
     }
 
+    /// Logit and probability bits: the local path's equality contract.
+    fn bits(p: &LocalPrediction) -> (Vec<u32>, Vec<u32>) {
+        (p.logits.iter().map(|v| v.to_bits()).collect(), p.proba.iter().map(|v| v.to_bits()).collect())
+    }
+
     #[test]
     fn local_prediction_matches_full_oracle() {
         for encoder in [EncoderSpec::Gcn, EncoderSpec::Sage, EncoderSpec::Gin, EncoderSpec::Mlp] {
@@ -810,9 +815,7 @@ mod tests {
             let local = m.predict_local(&row, &nbrs).unwrap();
             let full = m.predict_full(&row, &nbrs).unwrap();
             assert!(local.subgraph_nodes <= full.subgraph_nodes);
-            for (a, b) in local.proba.iter().zip(&full.proba) {
-                assert!((a - b).abs() < 1e-4, "{encoder:?}: local {a} vs full {b}");
-            }
+            assert_eq!(bits(&local), bits(&full), "{encoder:?}");
         }
     }
 
@@ -916,9 +919,7 @@ mod tests {
         let pn: Vec<usize> = folded.exact_neighbors(&probe).into_iter().map(|(j, _)| j).collect();
         let local = folded.predict_local(&probe, &pn).unwrap();
         let full = folded.predict_full(&probe, &pn).unwrap();
-        for (a, b) in local.proba.iter().zip(&full.proba) {
-            assert!((a - b).abs() < 1e-4, "folded local {a} vs full {b}");
-        }
+        assert_eq!(bits(&local), bits(&full), "folded local vs full");
         // Mismatched shapes are typed errors.
         assert!(m.compacted(&[], &[]).is_err());
         assert!(m.compacted(&rows, &nbrs[..2]).is_err());

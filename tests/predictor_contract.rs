@@ -3,10 +3,10 @@
 //! (including on exact ties), and refitting with the same seed reproduces
 //! bit-identical predictions.
 //!
-//! The serving contract rides along (ISSUE 7): the online local-subgraph
-//! prediction must match a full-graph batch recompute within 1e-4 on
-//! probabilities under `IndexKind::Exact` (recall-bounded under Hnsw), and
-//! repeated identical requests must be bitwise-identical across
+//! The serving contract rides along: the online local-subgraph prediction
+//! must equal a full-graph batch recompute bit for bit, logits and
+//! probabilities, under `IndexKind::Exact` (recall-bounded under Hnsw),
+//! and repeated identical requests must be bitwise-identical across
 //! `GNN4TDL_THREADS` ∈ {1, 2, available}.
 
 use gnn4tdl::prelude::*;
@@ -141,25 +141,21 @@ fn request_rows(model: &ServableModel, count: usize) -> Vec<Vec<f32>> {
 }
 
 /// Under `IndexKind::Exact`, the O(neighborhood) local-subgraph prediction
-/// must agree with the O(n) full-graph recompute within 1e-4 — serving an
-/// unseen row online and batch-recomputing the extended graph are the same
+/// must equal the O(n) full-graph recompute bit for bit — serving an unseen
+/// row online and batch-recomputing the extended graph are the same
 /// function.
 #[test]
 fn serving_local_prediction_matches_full_graph_recompute() {
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
     let model = servable(IndexKind::Exact);
     for row in request_rows(&model, 6) {
         let neighbors: Vec<usize> = model.exact_neighbors(&row).into_iter().map(|(i, _)| i).collect();
         let local = model.predict_local(&row, &neighbors).unwrap();
         let full = model.predict_full(&row, &neighbors).unwrap();
         assert!((local.proba.iter().sum::<f32>() - 1.0).abs() < 1e-5);
-        for (c, (l, f)) in local.proba.iter().zip(&full.proba).enumerate() {
-            assert!(
-                (l - f).abs() < 1e-4,
-                "class {c}: local proba {l} vs full-graph {f} (subgraph {} of {} nodes)",
-                local.subgraph_nodes,
-                model.corpus_len() + 1
-            );
-        }
+        let context = format!("subgraph {} of {} nodes", local.subgraph_nodes, model.corpus_len() + 1);
+        assert_eq!(bits(&local.logits), bits(&full.logits), "logits: {context}");
+        assert_eq!(bits(&local.proba), bits(&full.proba), "proba: {context}");
     }
 }
 
