@@ -17,18 +17,26 @@
 //! 1. its `k` nearest corpus rows are found (exact re-query under
 //!    [`IndexKind::Exact`], or `HnswIndex::insert` on the server's owned
 //!    index under [`IndexKind::Hnsw`]),
-//! 2. the `(layers + 1)`-hop ball around the row in the *extended* graph
-//!    (corpus graph plus the row with symmetric unit edges to its
-//!    neighbors) is collected,
-//! 3. the induced local subgraph and gathered feature rows feed one
-//!    forward pass, and the center row of the logits is the answer.
+//! 2. the row joins the *extended* graph (corpus graph plus the row with
+//!    symmetric unit edges to its neighbors), and a message-flow
+//!    [`Block`] is sliced out of it: the last layer computes the request
+//!    row alone, and each earlier layer the next layer's rows plus their
+//!    neighbors, so the input is the `L`-hop neighborhood of an `L`-layer
+//!    encoder (none for the MLP, whose block is the request row),
+//! 3. the encoder runs over the block and the head's output row is the
+//!    answer.
 //!
-//! The radius-`(layers + 1)` ball makes the local pass *exact*, not
-//! approximate: every node within `layers` hops of the new row keeps its
-//! complete neighbor list (and hence its global degree) inside the ball, so
-//! the normalized adjacency entries the center prediction consumes are
-//! identical to the full extended-graph operator. [`ServableModel::predict_full`]
-//! materializes that full extended graph as the test oracle.
+//! The block is *exact*, not approximate. Each layer's operator holds
+//! exactly the rows of the extended graph's normalized adjacency that the
+//! layer's outputs need, and each row carries every entry of the full
+//! row, in the same column order (ascending id, request row last), with
+//! values from the same arithmetic: corpus row sums are computed once per
+//! snapshot, and the request entry adds one to an attachment neighbor's
+//! sum. Kernels accumulate each output row over its own entries in stored
+//! order and GEMM rows are independent, so every computed row is
+//! bit-identical to that node's row of a full-graph forward.
+//! [`ServableModel::predict_full`] materializes the full extended graph as
+//! the test oracle.
 //!
 //! # Determinism contract
 //!
@@ -38,7 +46,6 @@
 //! pure function of `(snapshot, request row)` — identical across reruns,
 //! thread counts, and batch compositions.
 
-use std::collections::{HashMap, HashSet};
 use std::path::Path;
 
 use rand::rngs::StdRng;
@@ -49,8 +56,10 @@ use gnn4tdl_construct::{
 };
 use gnn4tdl_data::Split;
 use gnn4tdl_graph::Graph;
-use gnn4tdl_nn::{GcnModel, GinModel, MlpModel, NodeModel, SageModel, Session};
-use gnn4tdl_tensor::{atomic_write, fault, fnv1a64, obs, CsrMatrix, GnnError, Matrix, ParamStore, Var};
+use gnn4tdl_nn::{Block, GcnModel, GinModel, MlpModel, NodeModel, SageModel, Session};
+use gnn4tdl_tensor::{
+    atomic_write, fault, fnv1a64, obs, parallel, CsrMatrix, GnnError, Matrix, ParamStore, Var,
+};
 use gnn4tdl_train::{discover_best_checkpoints, fit, NodeTask, SupervisedModel, TrainConfig};
 
 use crate::pipeline::EncoderSpec;
@@ -75,7 +84,8 @@ pub struct ServableConfig {
     /// Encoded feature width the model was trained on.
     pub in_dim: usize,
     pub hidden: usize,
-    /// Message-passing depth; the serving ball radius is `layers + 1`.
+    /// Message-passing depth (at least one layer is built); a request
+    /// block reaches `layers` hops.
     pub layers: usize,
     pub num_classes: usize,
     pub dropout: f32,
@@ -199,8 +209,8 @@ fn field(obj: &str, key: &str) -> Option<String> {
     Some(rest[..end].trim().to_string())
 }
 
-/// The encoder variants a servable model can carry: exactly the block
-/// models that can rebind to a per-request subgraph.
+/// The encoder variants a servable model can carry: exactly the models
+/// with a message-flow block forward (and a rebind for the oracle).
 #[derive(Clone)]
 pub enum ServeEncoder {
     Mlp(MlpModel),
@@ -239,6 +249,16 @@ impl ServeEncoder {
             ServeEncoder::Gin(m) => ServeEncoder::Gin(gnn4tdl_nn::BlockModel::bind(m, graph)),
         }
     }
+
+    /// Forward over a request [`Block`]: the serving hot path.
+    fn forward_block(&self, s: &mut Session<'_>, block: &Block, x: Var) -> Var {
+        match self {
+            ServeEncoder::Mlp(m) => m.forward_block(s, block, x),
+            ServeEncoder::Gcn(m) => m.forward_block(s, block, x),
+            ServeEncoder::Sage(m) => m.forward_block(s, block, x),
+            ServeEncoder::Gin(m) => m.forward_block(s, block, x),
+        }
+    }
 }
 
 impl NodeModel for ServeEncoder {
@@ -268,9 +288,53 @@ pub struct LocalPrediction {
     pub logits: Vec<f32>,
     /// Row-wise softmax of `logits`.
     pub proba: Vec<f32>,
-    /// Nodes in the local subgraph that produced it (request row included)
-    /// — the "O(neighborhood)" the serving path touches.
+    /// Input rows of the message-flow block that produced it (request row
+    /// included) — the "O(neighborhood)" the serving path touches. For the
+    /// full-graph oracle, every node of the extended graph.
     pub subgraph_nodes: usize,
+}
+
+/// One request's message-flow frontier; see [`ServableModel::block`].
+struct Frontier {
+    /// Extended-graph ids in hop order; local 0 is the request row (id
+    /// `corpus_len`).
+    nodes: Vec<usize>,
+    /// `ends[h]`: how many nodes lie within `h` hops, for `h = 0..=depth`.
+    ends: Vec<usize>,
+    /// Operator rows of the nodes within `depth - 1` hops over local ids,
+    /// each in the extended graph's column order.
+    indptr: Vec<usize>,
+    cols: Vec<usize>,
+    vals: Vec<f32>,
+}
+
+/// Row `g` of `A + I` in column order, as `with_self_loops(1.0)` builds it:
+/// the unit self-loop at its sorted place, added onto a stored diagonal.
+fn self_looped(adj: &CsrMatrix, g: usize) -> impl Iterator<Item = (usize, f32)> + '_ {
+    let (cols, vals) = (adj.neighbors(g), adj.row_values(g));
+    let at = cols.partition_point(|&c| c < g);
+    let diagonal = cols.get(at) == Some(&g);
+    let self_loop = if diagonal { vals[at] + 1.0 } else { 1.0 };
+    let rest = at + usize::from(diagonal);
+    cols[..at]
+        .iter()
+        .copied()
+        .zip(vals[..at].iter().copied())
+        .chain(std::iter::once((g, self_loop)))
+        .chain(cols[rest..].iter().copied().zip(vals[rest..].iter().copied()))
+}
+
+/// Row sums of the operator `encoder` aggregates through, over the corpus
+/// graph: each the sequential sum of the row's entries in column order, as
+/// `sym_normalized` (over `A + I`, for GCN) and `row_normalized` (Sage)
+/// take them. Gin and the MLP normalize nothing.
+fn operator_row_sums(encoder: &EncoderSpec, graph: &Graph) -> Vec<f32> {
+    let adj = graph.adjacency();
+    match encoder {
+        EncoderSpec::Gcn => (0..adj.rows()).map(|g| self_looped(adj, g).map(|(_, w)| w).sum()).collect(),
+        EncoderSpec::Sage => adj.row_sums(),
+        _ => Vec::new(),
+    }
 }
 
 /// A trained model plus everything needed to serve it; see the module docs.
@@ -285,6 +349,8 @@ pub struct ServableModel {
     /// serving-side compaction or reload that produces a new snapshot.
     pub generation: u64,
     model: SupervisedModel<ServeEncoder>,
+    /// [`operator_row_sums`] of `graph`, computed once per snapshot.
+    row_sums: Vec<f32>,
 }
 
 impl ServableModel {
@@ -320,7 +386,8 @@ impl ServableModel {
         let model = SupervisedModel::new(&mut store, 0, encoder, config.num_classes, &mut rng);
         let task = NodeTask::classification(features.clone(), labels, config.num_classes, split.clone());
         fit(&model, &mut store, &task, &[], train);
-        Ok(Self { config, store, features, graph, generation: 0, model })
+        let row_sums = operator_row_sums(&config.encoder, &graph);
+        Ok(Self { config, store, features, graph, generation: 0, model, row_sums })
     }
 
     /// Number of corpus rows.
@@ -433,34 +500,34 @@ impl ServableModel {
             config: self.config.clone(),
             store,
             features,
+            row_sums: operator_row_sums(&self.config.encoder, &graph),
             graph,
             generation: self.generation + 1,
             model,
         })
     }
 
-    /// Local-subgraph prediction for one request row given its corpus
-    /// neighbor ids — the serving hot path, as a batch of one. See the
-    /// module docs for why the `(layers + 1)`-hop ball makes this exact.
+    /// Local prediction for one request row given its corpus neighbor ids
+    /// — the serving hot path, as a batch of one. See the module docs for
+    /// why the message-flow block makes this exact.
     pub fn predict_local(&self, row: &[f32], neighbors: &[usize]) -> Result<LocalPrediction, GnnError> {
         let mut predictions = self.predict_local_batch(&[row.to_vec()], &[neighbors.to_vec()])?;
         Ok(predictions.remove(0))
     }
 
-    /// Local-subgraph predictions for a whole batch in **one** forward
-    /// pass: the per-row local subgraphs are composed block-diagonally
-    /// (each block is one row's ball plus its center, with no cross-block
-    /// edges, mirroring "batch rows never edge to each other") and the
-    /// stacked features go through a single bound encoder.
+    /// Local predictions for a whole batch in **one** forward pass over
+    /// one message-flow [`Block`]: the per-row blocks are stacked (rows of
+    /// different requests never share an operator row, mirroring "batch
+    /// rows never edge to each other"), and each layer computes only the
+    /// rows the next one reads.
     ///
     /// Bitwise-identical to mapping `predict_local` row by row: every
     /// kernel output element is one ascending-k accumulator chain over
-    /// that row's inputs alone (the PR 8 contract), and a block's rows see
-    /// exactly the entries — in the same column order — that its
-    /// standalone subgraph produces, so per-center logits match to the
-    /// bit. What changes is cost: one GEMM/SpMM sweep over `Σ ball_i`
-    /// rows, which the batched kernels tile, instead of `B` tiny
-    /// dispatches.
+    /// that row's inputs alone (the PR 8 contract), and each operator row
+    /// carries exactly the entries, in the same column order, of the
+    /// extended graph's row for that node. What changes with the batch is
+    /// cost: one GEMM/SpMM sweep per layer over every request's rows,
+    /// which the batched kernels tile, instead of `B` tiny dispatches.
     pub fn predict_local_batch(
         &self,
         rows: &[Vec<f32>],
@@ -471,55 +538,29 @@ impl ServableModel {
         for (row, nbrs) in rows.iter().zip(neighbors) {
             self.check_request(row, nbrs)?;
         }
-        let _assembly = gnn4tdl_tensor::span!("servable.batch.assembly");
-        let mut triples: Vec<(usize, usize, f32)> = Vec::new();
-        let mut data: Vec<f32> = Vec::new();
-        let mut centers = Vec::with_capacity(rows.len());
-        let mut sizes = Vec::with_capacity(rows.len());
-        let mut offset = 0usize;
-        let mut local: HashMap<usize, usize> = HashMap::new();
-        for (row, nbrs) in rows.iter().zip(neighbors) {
-            let ball = self.ball(nbrs);
-            let bn = ball.len();
-            local.clear();
-            local.reserve(bn);
-            for (li, &g) in ball.iter().enumerate() {
-                local.insert(g, offset + li);
-            }
-            for (li, &g) in ball.iter().enumerate() {
-                for (v, w) in self.graph.neighbors(g) {
-                    if let Some(&lv) = local.get(&v) {
-                        triples.push((offset + li, lv, w));
-                    }
-                }
-            }
-            let center = offset + bn;
-            for &j in nbrs {
-                let lj = local[&j];
-                triples.push((center, lj, 1.0));
-                triples.push((lj, center, 1.0));
-            }
-            data.extend_from_slice(self.features.gather_rows(&ball).data());
-            data.extend_from_slice(row);
-            centers.push(center);
-            sizes.push(bn + 1);
-            offset += bn + 1;
-        }
-        drop(_assembly);
-        let _build = gnn4tdl_tensor::span!("servable.batch.graph_build");
-        let lg = Graph::from_weighted_edges(offset, &triples, false);
-        let xs = Matrix::from_vec(offset, self.config.in_dim, data);
-        drop(_build);
-        let _fwd = gnn4tdl_tensor::span!("servable.batch.forward");
-        let logits_m = self.forward(&lg, xs);
-        drop(_fwd);
-        obs::counter_add("servable.local_nodes", offset as u64);
-        Ok(centers
+        let build = gnn4tdl_tensor::span!("servable.block.build");
+        let (block, xs, sizes) = self.block(rows, neighbors)?;
+        drop(build);
+        let forward = gnn4tdl_tensor::span!("servable.block.forward");
+        // Resolve the worker count once for the whole forward: without an
+        // override every kernel dispatch re-reads it from the environment
+        // and the cgroup limits, which costs more than a request's kernels.
+        let logits_m = parallel::with_threads(parallel::current_threads(), || {
+            let mut s = Session::eval(&self.store);
+            let x = s.input(xs);
+            let emb = self.model.encoder.forward_block(&mut s, &block, x);
+            let out = self.model.head.forward(&mut s, emb);
+            s.tape.value(out).clone()
+        });
+        drop(forward);
+        obs::counter_add("servable.local_nodes", block.input_rows() as u64);
+        obs::counter_add("servable.rows_computed", block.rows_computed() as u64);
+        Ok(sizes
             .iter()
-            .zip(&sizes)
-            .map(|(&c, &sz)| {
-                let mut p = self.center_prediction(&logits_m, c);
-                p.subgraph_nodes = sz;
+            .enumerate()
+            .map(|(r, &size)| {
+                let mut p = self.center_prediction(&logits_m, r);
+                p.subgraph_nodes = size;
                 p
             })
             .collect())
@@ -560,38 +601,186 @@ impl ServableModel {
                 detail: format!("neighbor id {bad} out of range for {} corpus rows", self.graph.num_nodes()),
             });
         }
+        let mut sorted = neighbors.to_vec();
+        sorted.sort_unstable();
+        if let Some(pair) = sorted.windows(2).find(|pair| pair[0] == pair[1]) {
+            return Err(GnnError::InvalidConfig { detail: format!("neighbor id {} repeated", pair[0]) });
+        }
         if row.iter().any(|v| !v.is_finite()) {
             return Err(GnnError::NonFiniteFeature { column: "<request>".into(), row: 0 });
         }
         Ok(())
     }
 
-    /// The corpus ids within `layers + 1` hops of the request row in the
-    /// extended graph: BFS from the attachment neighbors (distance 1) over
-    /// the corpus graph, ascending-sorted so local column order mirrors the
-    /// global one (keeping reduction order — and with it bitwise equality —
-    /// aligned with the full-graph oracle).
-    fn ball(&self, neighbors: &[usize]) -> Vec<usize> {
-        let radius = self.config.layers + 1;
-        let mut seen: HashSet<usize> = neighbors.iter().copied().collect();
-        let mut frontier: Vec<usize> = neighbors.to_vec();
-        for _ in 1..radius {
-            let mut next = Vec::new();
-            for &u in &frontier {
-                for &v in self.graph.neighbor_ids(u) {
-                    if seen.insert(v) {
-                        next.push(v);
+    /// Message-passing layers a block must carry: none for the MLP, and
+    /// otherwise the `layers.max(1)` that [`ServeEncoder::build`] stacks.
+    fn depth(&self) -> usize {
+        match self.config.encoder {
+            EncoderSpec::Mlp => 0,
+            _ => self.config.layers.max(1),
+        }
+    }
+
+    /// The batch's message-flow block, its stacked input features, and each
+    /// request's input-row count. Per-request frontiers are stacked
+    /// band-major — every request row, then every request's 1-hop nodes,
+    /// and so on — so each layer's output rows (the nodes within fewer
+    /// hops) stay a prefix of its input rows across the whole batch.
+    fn block(
+        &self,
+        rows: &[Vec<f32>],
+        neighbors: &[Vec<usize>],
+    ) -> Result<(Block, Matrix, Vec<usize>), GnnError> {
+        let depth = self.depth();
+        if depth == 0 {
+            let xs = Matrix::from_vec(rows.len(), self.config.in_dim, rows.concat());
+            return Ok((Block::new(rows.len(), Vec::new())?, xs, vec![1; rows.len()]));
+        }
+        let mut local = vec![0usize; self.corpus_len()];
+        let frontiers: Vec<Frontier> =
+            neighbors.iter().map(|nbrs| self.frontier(nbrs, depth, &mut local)).collect();
+        let band = |f: &Frontier, h: usize| if h == 0 { 0..1 } else { f.ends[h - 1]..f.ends[h] };
+        // Stacked position of every request's nodes, the features in that
+        // order, and `within[h]`: the stacked rows within `h` hops.
+        let mut at: Vec<Vec<usize>> = frontiers.iter().map(|f| vec![0; f.nodes.len()]).collect();
+        let mut within = Vec::with_capacity(depth + 1);
+        let mut data = Vec::new();
+        let mut next = 0;
+        for h in 0..=depth {
+            for ((f, pos), row) in frontiers.iter().zip(&mut at).zip(rows) {
+                for i in band(f, h) {
+                    pos[i] = next;
+                    next += 1;
+                    data.extend_from_slice(if i == 0 { row } else { self.features.row(f.nodes[i]) });
+                }
+            }
+            within.push(next);
+        }
+        // The operator rows of the nodes within `depth - 1` hops, in the
+        // same stacked order, with local columns mapped to stacked ones.
+        let mut indptr = vec![0];
+        let (mut cols, mut vals) = (Vec::new(), Vec::new());
+        for h in 0..depth {
+            for (f, pos) in frontiers.iter().zip(&at) {
+                for i in band(f, h) {
+                    let entries = f.indptr[i]..f.indptr[i + 1];
+                    cols.extend(f.cols[entries.clone()].iter().map(|&c| pos[c]));
+                    vals.extend_from_slice(&f.vals[entries]);
+                    indptr.push(cols.len());
+                }
+            }
+        }
+        // Layer l maps the nodes within `depth - l` hops to those within
+        // `depth - 1 - l`: each operator is a row prefix of the one before.
+        let operators = (0..depth)
+            .map(|l| {
+                let (dst, src) = (within[depth - 1 - l], within[depth - l]);
+                let nnz = indptr[dst];
+                CsrMatrix::from_parts_unchecked(
+                    dst,
+                    src,
+                    indptr[..=dst].to_vec(),
+                    cols[..nnz].to_vec(),
+                    vals[..nnz].to_vec(),
+                )
+            })
+            .collect();
+        let xs = Matrix::from_vec(within[depth], self.config.in_dim, data);
+        let sizes = frontiers.iter().map(|f| f.nodes.len()).collect();
+        Ok((Block::new(within[depth], operators)?, xs, sizes))
+    }
+
+    /// One request's frontier over the extended graph (the corpus graph
+    /// plus the request row, attached by unit edges to `neighbors`): its
+    /// nodes in hop order and the operator rows of those the layers
+    /// compute. `local` maps corpus ids to local ones (0 = absent); it is
+    /// all zero on entry and on return.
+    fn frontier(&self, neighbors: &[usize], depth: usize, local: &mut [usize]) -> Frontier {
+        let adj = self.graph.adjacency();
+        // The request row, its neighbors ascending (its row's column
+        // order), then each further hop's unseen corpus neighbors.
+        let mut nodes = Vec::with_capacity(1 + neighbors.len());
+        nodes.push(self.corpus_len());
+        nodes.extend_from_slice(neighbors);
+        nodes[1..].sort_unstable();
+        let mut ends = vec![1, nodes.len()];
+        for (i, &g) in nodes.iter().enumerate().skip(1) {
+            local[g] = i;
+        }
+        for h in 2..=depth {
+            for i in ends[h - 2]..ends[h - 1] {
+                for &v in adj.neighbors(nodes[i]) {
+                    if local[v] == 0 {
+                        local[v] = nodes.len();
+                        nodes.push(v);
                     }
                 }
             }
-            if next.is_empty() {
-                break;
-            }
-            frontier = next;
+            ends.push(nodes.len());
         }
-        let mut ball: Vec<usize> = seen.into_iter().collect();
-        ball.sort_unstable();
-        ball
+        let gcn = matches!(self.config.encoder, EncoderSpec::Gcn);
+        let attached = |i: usize| (1..ends[1]).contains(&i);
+        // Each node's extended row sum, as the sequential sum over its
+        // entries in column order: the request row's entries are all ones
+        // (plus its GCN self-loop); an attachment's row gains the request
+        // entry last, adding 1 to its corpus sum.
+        let row_sum = |i: usize| match i {
+            0 => (ends[1] - 1 + usize::from(gcn)) as f32,
+            _ if attached(i) => self.row_sums[nodes[i]] + 1.0,
+            _ => self.row_sums[nodes[i]],
+        };
+        // Per-node scale of the encoder's operator: `sym_normalized`'s
+        // inverse square root for GCN, `row_normalized`'s inverse (rows
+        // summing to 0 stay untouched) for Sage, none for Gin.
+        let scale: Vec<f32> = (0..nodes.len())
+            .map(|i| match self.config.encoder {
+                EncoderSpec::Gcn => match row_sum(i) {
+                    s if s > 0.0 => 1.0 / s.sqrt(),
+                    _ => 0.0,
+                },
+                EncoderSpec::Sage => match row_sum(i) {
+                    s if s != 0.0 => 1.0 / s,
+                    _ => 1.0,
+                },
+                _ => 1.0,
+            })
+            .collect();
+        let value = |r: usize, c: usize, w: f32| match self.config.encoder {
+            EncoderSpec::Gcn => w * (scale[r] * scale[c]),
+            EncoderSpec::Sage => w * scale[r],
+            _ => w,
+        };
+        let rows = ends[depth - 1];
+        let mut indptr = Vec::with_capacity(rows + 1);
+        indptr.push(0);
+        let (mut cols, mut vals) = (Vec::new(), Vec::new());
+        for i in 0..rows {
+            let mut push = |c: usize, w: f32| {
+                cols.push(c);
+                vals.push(value(i, c, w));
+            };
+            if i == 0 {
+                (1..ends[1]).for_each(|a| push(a, 1.0));
+                if gcn {
+                    push(0, 1.0);
+                }
+            } else {
+                let g = nodes[i];
+                if gcn {
+                    self_looped(adj, g).for_each(|(c, w)| push(local[c], w));
+                } else {
+                    adj.row_iter(g).for_each(|(c, w)| push(local[c], w));
+                }
+                if attached(i) {
+                    push(0, 1.0);
+                }
+            }
+            indptr.push(cols.len());
+        }
+        for &g in &nodes[1..] {
+            local[g] = 0;
+        }
+        Frontier { nodes, ends, indptr, cols, vals }
     }
 
     fn forward(&self, graph: &Graph, xs: Matrix) -> Matrix {
@@ -731,6 +920,13 @@ impl ServableModel {
         let features = Matrix::from_vec(rows, cols, data);
         let n = take_u64(&mut cur)?;
         let nnz = take_u64(&mut cur)?;
+        // Size both counts against the bytes left before allocating for
+        // them: a forged header is a typed error, not an allocator panic.
+        (n.checked_add(1).and_then(|rows| rows.checked_mul(8)))
+            .zip(nnz.checked_mul(12))
+            .and_then(|(ptr, entries)| ptr.checked_add(entries))
+            .filter(|&need| need <= payload.len() - cur)
+            .ok_or_else(|| corrupt("graph header exceeds the payload"))?;
         let mut indptr = Vec::with_capacity(n + 1);
         for _ in 0..=n {
             indptr.push(take_u64(&mut cur)?);
@@ -757,7 +953,8 @@ impl ServableModel {
         let encoder = ServeEncoder::build(&config, &mut store, &graph, &mut rng)?;
         let model = SupervisedModel::new(&mut store, 0, encoder, config.num_classes, &mut rng);
         store.load_bytes(&params).map_err(|e| corrupt(&format!("parameter payload: {e}")))?;
-        Ok(Self { config, store, features, graph, generation, model })
+        let row_sums = operator_row_sums(&config.encoder, &graph);
+        Ok(Self { config, store, features, graph, generation, model, row_sums })
     }
 }
 
@@ -768,10 +965,16 @@ mod tests {
     use gnn4tdl_data::synth::{gaussian_clusters, ClustersConfig};
 
     fn tiny_model(encoder: EncoderSpec) -> ServableModel {
+        fitted(encoder, 2, 80, 15)
+    }
+
+    /// An exact-index servable over `n` clustered rows with `layers`
+    /// message-passing layers, trained for `epochs`.
+    fn fitted(encoder: EncoderSpec, layers: usize, n: usize, epochs: usize) -> ServableModel {
         let mut rng = StdRng::seed_from_u64(5);
         let dataset = gaussian_clusters(
             &ClustersConfig {
-                n: 80,
+                n,
                 informative: 6,
                 noise_features: 2,
                 classes: 3,
@@ -790,14 +993,14 @@ mod tests {
             encoder,
             in_dim: features.cols(),
             hidden: 8,
-            layers: 2,
+            layers,
             num_classes: 3,
             dropout: 0.0,
             k: 5,
             similarity: Similarity::Euclidean,
             index: IndexKind::Exact,
         };
-        let train = TrainConfig { epochs: 15, ..Default::default() };
+        let train = TrainConfig { epochs, ..Default::default() };
         ServableModel::fit(features, labels, &split, config, &train).expect("fit servable")
     }
 
@@ -816,6 +1019,50 @@ mod tests {
             let full = m.predict_full(&row, &nbrs).unwrap();
             assert!(local.subgraph_nodes <= full.subgraph_nodes);
             assert_eq!(bits(&local), bits(&full), "{encoder:?}");
+        }
+    }
+
+    /// Every depth and encoder: local == full-graph and batch == singles,
+    /// bit for bit, including a request with no attachment neighbors; a
+    /// repeated neighbor id is a typed error on both paths.
+    #[test]
+    fn every_depth_matches_full_and_batches_bitwise() {
+        for layers in 1..=3 {
+            for encoder in [EncoderSpec::Gcn, EncoderSpec::Sage, EncoderSpec::Gin, EncoderSpec::Mlp] {
+                let m = fitted(encoder, layers, 500, 3);
+                let rows: Vec<Vec<f32>> = (0..6)
+                    .map(|r| {
+                        let base = m.features.row(r * 83 % m.corpus_len());
+                        base.iter()
+                            .enumerate()
+                            .map(|(j, &v)| v + ((j + r) as f32 * 0.713).sin() * 0.05)
+                            .collect()
+                    })
+                    .collect();
+                let mut nbrs: Vec<Vec<usize>> = m
+                    .exact_neighbors_batch(&rows)
+                    .into_iter()
+                    .map(|hits| hits.into_iter().map(|(j, _)| j).collect())
+                    .collect();
+                nbrs[5].clear();
+                let batch = m.predict_local_batch(&rows, &nbrs).unwrap();
+                for ((row, n), got) in rows.iter().zip(&nbrs).zip(&batch) {
+                    let single = m.predict_local(row, n).unwrap();
+                    let full = m.predict_full(row, n).unwrap();
+                    assert_eq!(bits(&single), bits(&full), "{encoder:?} layers {layers}: local vs full");
+                    assert_eq!(bits(&single), bits(got), "{encoder:?} layers {layers}: single vs batch");
+                    assert_eq!(single.subgraph_nodes, got.subgraph_nodes);
+                }
+                let repeated = vec![nbrs[0][0], nbrs[0][1], nbrs[0][0]];
+                for result in [m.predict_local(&rows[0], &repeated), m.predict_full(&rows[0], &repeated)] {
+                    match result {
+                        Err(GnnError::InvalidConfig { detail }) => {
+                            assert!(detail.contains("repeated"), "{detail}")
+                        }
+                        other => panic!("{encoder:?}: repeated neighbor id must be typed, got {other:?}"),
+                    }
+                }
+            }
         }
     }
 
@@ -850,6 +1097,26 @@ mod tests {
         // Truncation is also typed, not a panic.
         let short = &m.to_bytes()[..40];
         assert!(ServableModel::from_bytes(short).is_err());
+    }
+
+    #[test]
+    fn forged_graph_header_is_a_typed_error_not_a_panic() {
+        let m = tiny_model(EncoderSpec::Gcn);
+        let bytes = m.to_bytes();
+        let adj = m.graph.adjacency();
+        let body = bytes.len() - 8;
+        let header = body - (adj.rows() + 1) * 8 - adj.nnz() * 12 - 16;
+        for (field, at) in [("n", header), ("nnz", header + 8)] {
+            let mut forged = bytes[..body].to_vec();
+            forged[at..at + 8].copy_from_slice(&(1u64 << 62).to_le_bytes());
+            let checksum = fnv1a64(&forged);
+            forged.extend_from_slice(&checksum.to_le_bytes());
+            match ServableModel::from_bytes(&forged) {
+                Err(GnnError::Checkpoint { detail }) => assert!(detail.contains("graph header"), "{detail}"),
+                Err(other) => panic!("forged {field}: expected a checkpoint error, got {other:?}"),
+                Ok(_) => panic!("forged {field}: snapshot must not load"),
+            }
+        }
     }
 
     #[test]

@@ -9,6 +9,7 @@ use rand::Rng;
 use gnn4tdl_graph::Graph;
 use gnn4tdl_tensor::{ParamStore, SpAdj, Var};
 
+use crate::block::Block;
 use crate::linear::{Activation, Linear, Mlp};
 use crate::session::Session;
 
@@ -112,6 +113,32 @@ impl GcnModel {
             dropout: self.dropout,
             pair_norm: self.pair_norm,
         }
+    }
+
+    /// Forward over a message-flow [`Block`] whose operators are rows of
+    /// this model's normalized adjacency: each layer aggregates through its
+    /// block operator, so it computes only the rows the next layer reads.
+    /// Every computed row goes through the same arithmetic as in
+    /// [`NodeModel::forward`] over the whole graph.
+    ///
+    /// # Panics
+    /// Panics when the block depth is not the layer count, or with
+    /// PairNorm on (it normalizes over every node, which a block lacks).
+    pub fn forward_block(&self, s: &mut Session<'_>, block: &Block, x: Var) -> Var {
+        assert!(!self.pair_norm, "PairNorm normalizes over the whole graph; a block cannot");
+        assert_eq!(block.depth(), self.layers.len(), "block depth must equal the GCN layer count");
+        let mut h = x;
+        let last = self.layers.len() - 1;
+        for (i, layer) in self.layers.iter().enumerate() {
+            let agg = s.tape.spmm(block.operator(i), h);
+            if i < last {
+                h = layer.forward_relu(s, agg);
+                h = s.dropout(h, self.dropout);
+            } else {
+                h = layer.forward(s, agg);
+            }
+        }
+        h
     }
 }
 
@@ -249,6 +276,33 @@ impl SageModel {
     pub fn aggregator(&self) -> SageAggregator {
         self.aggregator
     }
+
+    /// Forward over a message-flow [`Block`] whose operators are rows of
+    /// the mean-aggregation operator: the self term reads each layer's
+    /// `dst` rows, the neighbor term the block operator. Every computed row
+    /// goes through the same arithmetic as in [`NodeModel::forward`].
+    ///
+    /// # Panics
+    /// Panics when the block depth is not the layer count, or for the
+    /// max-pool aggregator (its messages are edge lists, not an operator).
+    pub fn forward_block(&self, s: &mut Session<'_>, block: &Block, x: Var) -> Var {
+        assert_eq!(self.aggregator, SageAggregator::Mean, "block forward needs the mean aggregator");
+        assert_eq!(block.depth(), self.self_layers.len(), "block depth must equal the SAGE layer count");
+        let mut h = x;
+        let last = self.self_layers.len() - 1;
+        for i in 0..self.self_layers.len() {
+            let dst = block.dst_rows(s, i, h);
+            let own = self.self_layers[i].forward(s, dst);
+            let agg = s.tape.spmm(block.operator(i), h);
+            let neigh = self.neigh_layers[i].forward(s, agg);
+            h = s.tape.add(own, neigh);
+            if i < last {
+                h = s.tape.relu(h);
+                h = s.dropout(h, self.dropout);
+            }
+        }
+        h
+    }
 }
 
 impl NodeModel for SageModel {
@@ -315,6 +369,30 @@ impl GinModel {
     pub fn rebind(&self, graph: &Graph) -> Self {
         Self { adj: graph.sum_adj(), mlps: self.mlps.clone(), dropout: self.dropout }
     }
+
+    /// Forward over a message-flow [`Block`] whose operators are rows of
+    /// the adjacency: each layer adds its `dst` rows to their aggregated
+    /// neighbors. Every computed row goes through the same arithmetic as in
+    /// [`NodeModel::forward`].
+    ///
+    /// # Panics
+    /// Panics when the block depth is not the layer count.
+    pub fn forward_block(&self, s: &mut Session<'_>, block: &Block, x: Var) -> Var {
+        assert_eq!(block.depth(), self.mlps.len(), "block depth must equal the GIN layer count");
+        let mut h = x;
+        let last = self.mlps.len() - 1;
+        for (i, mlp) in self.mlps.iter().enumerate() {
+            let agg = s.tape.spmm(block.operator(i), h);
+            let own = block.dst_rows(s, i, h);
+            let combined = s.tape.add(own, agg);
+            h = mlp.forward(s, combined);
+            if i < last {
+                h = s.tape.relu(h);
+                h = s.dropout(h, self.dropout);
+            }
+        }
+        h
+    }
 }
 
 impl NodeModel for GinModel {
@@ -348,6 +426,13 @@ pub struct MlpModel {
 impl MlpModel {
     pub fn new<R: Rng>(store: &mut ParamStore, dims: &[usize], dropout: f32, rng: &mut R) -> Self {
         Self { mlp: Mlp::new(store, "mlp", dims, Activation::Relu, dropout, rng) }
+    }
+
+    /// The MLP over a block's seed rows: a graph-free encoder reads no
+    /// neighbors, so a block of any depth works (the cheapest has none).
+    pub fn forward_block(&self, s: &mut Session<'_>, block: &Block, x: Var) -> Var {
+        let seeds = block.seed_rows(s, x);
+        self.mlp.forward(s, seeds)
     }
 }
 
@@ -470,6 +555,58 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let m = MlpModel::new(&mut store, &[3, 8, 2], 0.0, &mut rng);
         check_shapes(&m, 4, 3, &store);
+    }
+
+    /// The first `rows` rows of an operator, over all of its columns.
+    fn first_rows(op: &gnn4tdl_tensor::CsrMatrix, rows: usize) -> gnn4tdl_tensor::CsrMatrix {
+        let nnz = op.indptr()[rows];
+        gnn4tdl_tensor::CsrMatrix::from_parts(
+            rows,
+            op.cols(),
+            op.indptr()[..=rows].to_vec(),
+            op.indices()[..nnz].to_vec(),
+            op.values()[..nnz].to_vec(),
+        )
+    }
+
+    #[test]
+    fn block_forward_equals_the_full_forward_on_its_seed_rows() {
+        // Seeds {0, 1} of a 2-layer model: layer 0 computes every node,
+        // layer 1 only the seeds, each from the full-graph operator rows.
+        let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (0, 3)], true);
+        let x = Matrix::from_rows(&[
+            vec![1.0, 0.2, -0.3],
+            vec![0.1, 0.9, 0.4],
+            vec![-0.7, 0.3, 0.8],
+            vec![0.5, -0.6, 0.2],
+            vec![0.3, 0.3, -0.9],
+        ]);
+        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        let check = |model: &dyn NodeModel,
+                     block_forward: &dyn Fn(&mut Session<'_>, &Block, Var) -> Var,
+                     adj: &Arc<SpAdj>,
+                     store: &ParamStore| {
+            let mut s = Session::eval(store);
+            let xv = s.input(x.clone());
+            let full = model.forward(&mut s, xv);
+            let want = s.tape.value(full).gather_rows(&[0, 1]);
+            let block = Block::new(5, vec![adj.matrix().clone(), first_rows(adj.matrix(), 2)]).unwrap();
+            let mut s = Session::eval(store);
+            let xv = s.input(x.clone());
+            let got = block_forward(&mut s, &block, xv);
+            assert_eq!(bits(s.tape.value(got)), bits(&want));
+        };
+        let mut store = ParamStore::new();
+        let mut rng = StdRng::seed_from_u64(31);
+        let dims = [3usize, 4, 2];
+        let gcn = GcnModel::new(&mut store, &g, &dims, 0.0, &mut rng);
+        let sage = SageModel::new(&mut store, &g, &dims, 0.0, &mut rng);
+        let gin = GinModel::new(&mut store, &g, &dims, 0.0, &mut rng);
+        let mlp = MlpModel::new(&mut store, &dims, 0.0, &mut rng);
+        check(&gcn, &|s, b, x| gcn.forward_block(s, b, x), &g.gcn_adj(), &store);
+        check(&sage, &|s, b, x| sage.forward_block(s, b, x), &g.mean_adj(), &store);
+        check(&gin, &|s, b, x| gin.forward_block(s, b, x), &g.sum_adj(), &store);
+        check(&mlp, &|s, b, x| mlp.forward_block(s, b, x), &g.sum_adj(), &store);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! homogeneous GNN zoo (GCN, GraphSAGE, GIN, GAT), relational GCN for
 //! multiplex graphs, GRAPE-style bipartite message passing with an edge-value
 //! decoder, hypergraph convolution, learning-based graph-structure-learning
-//! models, and the Fi-GNN-style batched feature-graph encoder.
+//! models, the Fi-GNN-style batched feature-graph encoder, and message-flow
+//! [`Block`]s that compute only a seed set's receptive field.
 //!
 //! Layers hold [`gnn4tdl_tensor::ParamId`]s into a shared
 //! [`gnn4tdl_tensor::ParamStore`]; every forward pass runs in a fresh
@@ -13,6 +14,7 @@
 #![allow(clippy::needless_range_loop)] // index loops over matrix coordinates read better in numeric kernels
 
 pub mod bipartite;
+pub mod block;
 pub mod conv;
 pub mod feature_graph;
 pub mod gat;
@@ -26,6 +28,7 @@ pub mod rgcn;
 pub mod session;
 
 pub use bipartite::{BipartiteModel, EdgeValueDecoder};
+pub use block::Block;
 pub use conv::{pair_norm, BlockModel, GcnModel, GinModel, MlpModel, NodeModel, SageAggregator, SageModel};
 pub use feature_graph::{FeatureGraphModel, FieldAdjacency};
 pub use gat::GatModel;

@@ -601,7 +601,7 @@ impl EngineSlot {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     //! Every test that reaches an io failpoint (`serve.request`,
     //! `wal.append`, `servable.load`, or the `atomic_write` trip) takes
     //! `fault::TEST_MUTEX`: the fault plan is process-global, so a
@@ -616,7 +616,7 @@ mod tests {
     use gnn4tdl_train::TrainConfig;
     use rand::{rngs::StdRng, SeedableRng};
 
-    fn fitted(index: IndexKind) -> ServableModel {
+    pub(crate) fn fitted(index: IndexKind) -> ServableModel {
         let mut rng = StdRng::seed_from_u64(5);
         let ds = gaussian_clusters(
             &ClustersConfig {

@@ -450,7 +450,8 @@ fn predict_route(engine: &Engine, body: &[u8], proba: bool) -> (u16, &'static st
                     }
                     out.push_str(&argmax(&p.proba).to_string());
                 }
-                out.push_str(&format!("], \"{field}s\": ["));
+                let batch_field = if proba { "probas" } else { "logits" };
+                out.push_str(&format!("], \"{batch_field}\": ["));
                 for (i, p) in predictions.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
@@ -529,5 +530,35 @@ fn error_response(e: &GnnError) -> (u16, &'static str, String) {
         }
         GnnError::Checkpoint { detail } => (409, "Conflict", json::error_body("snapshot_rejected", detail)),
         other => (500, "Internal Server Error", json::error_body("internal", &other.to_string())),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::tests::fitted;
+    use gnn4tdl_construct::IndexKind;
+    use gnn4tdl_tensor::fault;
+
+    /// The keys of both predict endpoints' bodies, single and batch.
+    #[test]
+    fn predict_bodies_name_their_vectors() {
+        let _guard = fault::TEST_MUTEX.lock().unwrap_or_else(|p| p.into_inner());
+        let engine = Engine::new(fitted(IndexKind::Exact)).unwrap();
+        let row = format!("[{}]", vec!["0.25"; engine.in_dim()].join(", "));
+        let keys = |body: String, proba: bool| -> Vec<String> {
+            let (status, _, out) = predict_route(&engine, body.as_bytes(), proba);
+            assert_eq!(status, 200, "{out}");
+            match json::parse(&out).unwrap() {
+                json::Json::Obj(fields) => fields.into_iter().map(|(key, _)| key).collect(),
+                other => panic!("body is not an object: {other:?}"),
+            }
+        };
+        let single = format!("{{\"row\": {row}}}");
+        let batch = format!("{{\"rows\": [{row}, {row}]}}");
+        assert_eq!(keys(single.clone(), false), ["pred", "logits"]);
+        assert_eq!(keys(single, true), ["pred", "proba"]);
+        assert_eq!(keys(batch.clone(), false), ["preds", "logits"]);
+        assert_eq!(keys(batch, true), ["preds", "probas"]);
     }
 }
