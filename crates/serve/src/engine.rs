@@ -102,9 +102,9 @@ pub struct Engine {
     model: ServableModel,
     /// Present only under `IndexKind::Hnsw`; the mutex serializes inserts,
     /// and queries ride along. The insert + query held under it costs about
-    /// twice a request's block forward (gnnbench serve-single: 0.33 vs 0.16
-    /// of request time), so it is this lock, not the forward, that
-    /// serializes concurrent Hnsw requests.
+    /// twice a request's block forward (gnnbench serve-single: 0.36 vs 0.16
+    /// of request time), so concurrent Hnsw requests queue on this lock,
+    /// not on the forward.
     hnsw: Option<Mutex<HnswState>>,
     corpus_len: usize,
     /// Retained-request bound; see the module docs for the two behaviors.
