@@ -523,11 +523,11 @@ impl ServableModel {
     ///
     /// Bitwise-identical to mapping `predict_local` row by row: every
     /// kernel output element is one ascending-k accumulator chain over
-    /// that row's inputs alone (the PR 8 contract), and each operator row
-    /// carries exactly the entries, in the same column order, of the
-    /// extended graph's row for that node. What changes with the batch is
-    /// cost: one GEMM/SpMM sweep per layer over every request's rows,
-    /// which the batched kernels tile, instead of `B` tiny dispatches.
+    /// that row's inputs alone (GEMM rows are independent), and each
+    /// operator row carries exactly the entries, in the same column order,
+    /// of the extended graph's row for that node. What changes with the
+    /// batch is cost: one GEMM/SpMM sweep per layer over every request's
+    /// rows, which the batched kernels tile, instead of `B` tiny dispatches.
     pub fn predict_local_batch(
         &self,
         rows: &[Vec<f32>],
